@@ -17,7 +17,6 @@ from .errors import (
 )
 from .ledger import (
     ComparisonLedger,
-    ElementId,
     FragilityProfile,
     Ordering,
     audit_sorted,
@@ -27,7 +26,6 @@ from .ledger import (
 __all__ = [
     "ComparisonLedger",
     "ConfigError",
-    "ElementId",
     "EmptyInput",
     "FragilityError",
     "FragilityProfile",

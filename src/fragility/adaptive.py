@@ -13,8 +13,10 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput
-from .ledger import ComparisonLedger, ElementId
+from .ledger import ComparisonLedger
 from .primitives import (
     ceil_log2,
     exponential_merge,
@@ -36,20 +38,20 @@ class RunDecomposition:
     """Partition of the input into maximal ascending runs."""
 
     runs: list[tuple[int, int]]  # (start index, length)
-    heads: list[ElementId]  # first element of each run (its minimum)
+    heads: list[int]  # first element of each run (its minimum)
 
     @property
     def count(self) -> int:
         return len(self.runs)
 
 
-def count_runs(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> RunDecomposition:
+def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> RunDecomposition:
     """One scan; each element is compared only with its two neighbours."""
     ids = list(seq)
     if not ids:
         raise EmptyInput("run decomposition of empty input")
     runs: list[tuple[int, int]] = []
-    heads: list[ElementId] = []
+    heads: list[int] = []
     start = 0
     for i in range(1, len(ids)):
         if ledger.less(ids[i], ids[i - 1]):  # strict descent ends the run
@@ -61,30 +63,54 @@ def count_runs(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> RunDecompo
     return RunDecomposition(runs=runs, heads=heads)
 
 
-def count_inversions_oracle(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> int:
-    """Exact inversion count via audit-mode keys; zero counted comparisons."""
-    keys = [ledger.sort_key(e) for e in seq]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(keys)
-    for r, i in enumerate(order):
-        rank[i] = r + 1  # 1-based for the Fenwick tree
-    tree = [0] * (len(keys) + 1)
+def count_permutation_inversions(perm: np.ndarray) -> int:
+    """Inversions of a permutation of 0..n-1 by bottom-up merging, vectorized.
+
+    The array is padded with a maximal sentinel to a power of two.  At the
+    level of width w every block of 2w positions holds two sorted halves, and
+    one sort of the keys (block, value, half) merges all blocks at once, left
+    halves first among equal values.  A right-half element at merged position
+    p, with j right-half elements before it, follows p - j left-half
+    elements, block * w of them from earlier blocks; the rest of its own
+    block's left half lies above it, one inversion each.
+    """
+    n = int(perm.size)
+    if n < 2:
+        return 0
+    levels = (n - 1).bit_length()
+    padded = 1 << levels
+    vbits = levels + 1  # the values and the sentinel n fit in vbits bits
+    a = np.full(padded, n, dtype=np.int64)  # sentinel == n, never counted
+    a[:n] = perm
+    pos = np.arange(padded, dtype=np.int64)
+    rights = padded // 2
     inv = 0
-    for seen, r in enumerate(rank):
-        i = r
-        le = 0  # elements already seen with rank <= r
-        while i > 0:
-            le += tree[i]
-            i -= i & (-i)
-        inv += seen - le
-        i = r
-        while i <= len(keys):
-            tree[i] += 1
-            i += i & (-i)
+    for lw in range(levels):
+        width = 1 << lw
+        blocks = padded >> (lw + 1)
+        keys = (pos >> (lw + 1)) << (vbits + 1)
+        keys |= a << 1
+        keys |= (pos >> lw) & 1
+        keys.sort(kind="stable")  # timsort merges the presorted halves
+        # sum over right-half elements of w - (p - j - block * w)
+        inv += (width * width * blocks * (blocks + 1) // 2
+                + rights * (rights - 1) // 2 - int((keys & 1) @ pos))
+        a = (keys >> 1) & ((1 << vbits) - 1)
     return inv
 
 
-def min_by_runs(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> ElementId:
+def count_inversions_oracle(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
+    """Exact inversion count via audit-mode keys; zero counted comparisons.
+
+    The stable order of the keys is the inverse of their rank permutation,
+    and a permutation has as many inversions as its inverse.
+    """
+    keys = [ledger.sort_key(e) for e in seq]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return count_permutation_inversions(np.array(order, dtype=np.int64))
+
+
+def min_by_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     """Scan for runs, then a knockout tournament on the run heads.
 
     Per-element fragility <= 2 (scan) + ceil(log2 Runs) (tournament rounds).
@@ -99,12 +125,12 @@ def min_by_runs(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> ElementId
 class InversionExtract:
     """Stack-scan decomposition into an ascending run R and removals I."""
 
-    R: list[ElementId]
-    I: list[ElementId]
+    R: list[int]
+    I: list[int]
     marks_used: int
 
 
-def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> InversionExtract:
+def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> InversionExtract:
     """One scan with a marked stack; leaves an ascending run R, removes I.
 
     Each scanned element is compared once with the stack top.  A top element
@@ -115,36 +141,36 @@ def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> In
     ids = list(seq)
     if not ids:
         raise EmptyInput("extraction from empty input")
-    stack: list[ElementId] = [ids[0]]
-    marks: dict[int, int] = {ids[0].index: 0}
-    removed: list[ElementId] = []
+    stack: list[int] = [ids[0]]
+    marks: dict[int, int] = {ids[0]: 0}
+    removed: list[int] = []
     marks_used = 0
     for e in ids[1:]:
         if not stack:
             stack.append(e)
-            marks[e.index] = 0
+            marks[e] = 0
             continue
         top = stack[-1]
         if ledger.less(top, e):
             stack.append(e)
-            marks[e.index] = 0
+            marks[e] = 0
             continue
         # e inverts with top: e goes to I, top gets a mark
         removed.append(e)
-        marks[top.index] += 1
+        marks[top] += 1
         marks_used += 1
-        while stack and marks[stack[-1].index] == 2:
+        while stack and marks[stack[-1]] == 2:
             popped = stack.pop()
             removed.append(popped)
-            del marks[popped.index]
+            del marks[popped]
             # one mark accounts for the pop; the other moves to the new top
             if stack:
-                marks[stack[-1].index] += 1
+                marks[stack[-1]] += 1
                 marks_used += 1
     return InversionExtract(R=stack, I=removed, marks_used=marks_used)
 
 
-def min_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> ElementId:
+def min_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     """Extract (R, I), tournament over I, final compare with R's head."""
     with ledger.in_phase(PHASE_EXTRACT):
         ext = extract_sorted_run(ledger, seq)
@@ -160,9 +186,9 @@ def min_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> ElementId:
 
 def median_two_runs(
     ledger: ComparisonLedger,
-    run1: Sequence[ElementId],
-    run2: Sequence[ElementId],
-) -> ElementId:
+    run1: Sequence[int],
+    run2: Sequence[int],
+) -> int:
     """Lower median of the union of two ascending runs in O(1) fragility.
 
     Each step compares the middles of the live windows and discards equally
@@ -223,7 +249,7 @@ def median_two_runs(
 
 @dataclass
 class _LiveRun:
-    elems: list[ElementId]
+    elems: list[int]
     lo: int
     hi: int
     low_cursor: int = 0
@@ -239,15 +265,15 @@ class RemovalStep:
     """Audit record of one balanced-removal step (for post-hoc rank checks)."""
 
     live_before: int
-    removed_low: list[ElementId] = field(default_factory=list)
-    removed_high: list[ElementId] = field(default_factory=list)
+    removed_low: list[int] = field(default_factory=list)
+    removed_high: list[int] = field(default_factory=list)
 
 
 def median_by_runs(
     ledger: ComparisonLedger,
-    seq: Sequence[ElementId],
+    seq: Sequence[int],
     log: Optional[list] = None,
-) -> ElementId:
+) -> int:
     """Lower median with per-element cost driven by the number of runs.
 
     Short runs (below 7*ceil(log2 n) elements) are parked in a side pool.
@@ -273,7 +299,7 @@ def median_by_runs(
             return small_median(ledger, ids)
 
     live = [_LiveRun(elems=ids[s : s + ln], lo=0, hi=ln) for s, ln in dec.runs]
-    pool: list[ElementId] = []
+    pool: list[int] = []
     short_len = 7 * L
     threshold = 64 * runs_count * L
 
@@ -292,7 +318,7 @@ def median_by_runs(
 
         step = RemovalStep(live_before=N)
 
-        def pick(run: _LiveRun, from_low: bool) -> tuple[ElementId, int]:
+        def pick(run: _LiveRun, from_low: bool) -> tuple[int, int]:
             """Partitioning element and the count of elements beyond it."""
             b = max(2, -(-run.size // (7 * L)))  # ceil, clamped off the edge
             if from_low:
@@ -311,10 +337,10 @@ def median_by_runs(
         high_elems = []
         for run in live:
             x, margin = pick(run, from_low=True)
-            low_info[x.index] = (run, margin)
+            low_info[x] = (run, margin)
             low_elems.append(x)
             x, margin = pick(run, from_low=False)
-            high_info[x.index] = (run, margin)
+            high_info[x] = (run, margin)
             high_elems.append(x)
         with ledger.in_phase(PHASE_PARTITION_SORT):
             low_order = network_sort(ledger, low_elems)
@@ -328,8 +354,8 @@ def median_by_runs(
             for idx in range(len(order)):
                 if total < N / 8:
                     t = idx + 1
-                total += info[order[idx].index][0].size
-            return sum(info[e.index][1] for e in order[:t]), order[:t]
+                total += info[order[idx]][0].size
+            return sum(info[e][1] for e in order[:t]), order[:t]
 
         cnt_low, low_runs = take_budget(low_order, low_info)
         cnt_high, high_runs = take_budget(high_order, high_info)
@@ -338,7 +364,7 @@ def median_by_runs(
             break  # no certified removals available; finish on what remains
         remaining = m
         for e in low_runs:
-            run, margin = low_info[e.index]
+            run, margin = low_info[e]
             take = min(margin, remaining)
             step.removed_low.extend(run.elems[run.lo : run.lo + take])
             run.lo += take
@@ -347,7 +373,7 @@ def median_by_runs(
                 break
         remaining = m
         for e in high_runs:
-            run, margin = high_info[e.index]
+            run, margin = high_info[e]
             take = min(margin, remaining)
             step.removed_high.extend(run.elems[run.hi - take : run.hi])
             run.hi -= take
@@ -362,7 +388,7 @@ def median_by_runs(
         return small_median(ledger, survivors)
 
 
-def median_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> ElementId:
+def median_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     """Extract (R, I), network-sort I, then the two-run median."""
     ids = list(seq)
     if not ids:
@@ -379,8 +405,8 @@ def median_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> Element
 
 def _column_search(
     ledger: ComparisonLedger,
-    e: ElementId,
-    col: list[ElementId],
+    e: int,
+    col: list[int],
     j0: int,
 ) -> int:
     """Largest column index whose element is < e, or -1.
@@ -429,7 +455,7 @@ def _column_search(
     return lo
 
 
-def sort_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> list[ElementId]:
+def sort_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> list[int]:
     """Full sort with per-element cost driven by the inversion count.
 
     After the stack extraction, R is split into blocks of size |I|; the i-th
@@ -451,20 +477,20 @@ def sort_by_inv(ledger: ComparisonLedger, seq: Sequence[ElementId]) -> list[Elem
             return network_sort(ledger, I)
     s = len(I)
     nblocks = -(-len(R) // s)
-    input_pos = {e.index: p for p, e in enumerate(ids)}
-    r_input_pos = [input_pos[e.index] for e in R]  # ascending (scan order)
+    input_pos = {e: p for p, e in enumerate(ids)}
+    r_input_pos = [input_pos[e] for e in R]  # ascending (scan order)
 
-    assoc: list[list[ElementId]] = [[] for _ in range(nblocks)]
+    assoc: list[list[int]] = [[] for _ in range(nblocks)]
     for i, e in enumerate(I):
         col = [R[j * s + i] for j in range(nblocks) if j * s + i < len(R)]
         # origin block: where the element sat in the input, mapped into R
-        p = input_pos[e.index]
+        p = input_pos[e]
         r0 = max(0, bisect.bisect_right(r_input_pos, p) - 1)
         jp = _column_search(ledger, e, col, r0 // s)
         assoc[min(max(jp, 0), nblocks - 1)].append(e)
 
-    out: list[ElementId] = []
-    deferred: list[ElementId] = []
+    out: list[int] = []
+    deferred: list[int] = []
     with ledger.in_phase(PHASE_FINAL):
         for j in range(nblocks):
             block = R[j * s : (j + 1) * s]

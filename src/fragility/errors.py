@@ -14,7 +14,7 @@ class SelfComparison(FragilityError):
 
 
 class UnknownElement(FragilityError):
-    """An ElementId does not belong to this session."""
+    """An element id is not an index into this session's values."""
 
 
 class RankOutOfRange(FragilityError):

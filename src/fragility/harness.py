@@ -21,7 +21,7 @@ import numpy as np
 
 from . import adaptive, calibration, generators
 from .errors import ConfigError
-from .ledger import ComparisonLedger, ElementId, new_session
+from .ledger import ComparisonLedger, new_session
 from .primitives import (
     ceil_log2,
     mom_select,
@@ -165,42 +165,6 @@ GENERATORS = (
 )
 
 
-def _count_rank_inversions(rank: np.ndarray) -> int:
-    """Inversions of a permutation of 0..n-1 by bottom-up merging, vectorized.
-
-    The array is padded with a maximal sentinel to a power of two.  At the
-    level of width w every block of 2w positions holds two sorted halves, and
-    one sort of the keys (block, value, half) merges all blocks at once, left
-    halves first among equal values.  A right-half element at merged position
-    p, with j right-half elements before it, follows p - j left-half
-    elements, block * w of them from earlier blocks; the rest of its own
-    block's left half lies above it, one inversion each.
-    """
-    n = int(rank.size)
-    if n < 2:
-        return 0
-    levels = (n - 1).bit_length()
-    padded = 1 << levels
-    vbits = levels + 1  # the values and the sentinel n fit in vbits bits
-    a = np.full(padded, n, dtype=np.int64)  # sentinel == n, never counted
-    a[:n] = rank
-    pos = np.arange(padded, dtype=np.int64)
-    rights = padded // 2
-    inv = 0
-    for lw in range(levels):
-        width = 1 << lw
-        blocks = padded >> (lw + 1)
-        keys = (pos >> (lw + 1)) << (vbits + 1)
-        keys |= a << 1
-        keys |= (pos >> lw) & 1
-        keys.sort(kind="stable")  # timsort merges the presorted halves
-        # sum over right-half elements of w - (p - j - block * w)
-        inv += (width * width * blocks * (blocks + 1) // 2
-                + rights * (rights - 1) // 2 - int((keys & 1) @ pos))
-        a = (keys >> 1) & ((1 << vbits) - 1)
-    return inv
-
-
 def _oracle_order(vals: list[int]) -> np.ndarray:
     """Positions in the canonical (payload, position) order: a stable argsort."""
     return np.argsort(np.asarray(vals), kind="stable")
@@ -221,7 +185,7 @@ def _measured_disorder(vals: list[int], order: Optional[np.ndarray] = None) -> t
         order = _oracle_order(arr)
     # the canonical ranks are the inverse permutation of the order, and a
     # permutation has as many inversions as its inverse
-    return runs, _count_rank_inversions(order)
+    return runs, adaptive.count_permutation_inversions(order)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +211,7 @@ def _trial_min_by_runs(spec, rng):
     res = adaptive.min_by_runs(ledger, ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = res.index == int(order[0])
+    row["correct"] = res == int(order[0])
     return row
 
 
@@ -259,7 +223,7 @@ def _trial_min_by_inv(spec, rng):
     ext = adaptive.extract_sorted_run(ext_ledger, ext_ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = res.index == int(order[0])
+    row["correct"] = res == int(order[0])
     row["I_size"] = len(ext.I)
     return row
 
@@ -283,7 +247,7 @@ def _trial_median(algo):
         res = algo(ledger, ids)
         order = _oracle_order(vals)
         row = _base_row(ledger, vals, order)
-        row["correct"] = res.index == int(order[(len(vals) - 1) // 2])
+        row["correct"] = res == int(order[(len(vals) - 1) // 2])
         return row
 
     return run
@@ -295,7 +259,7 @@ def _trial_sort_by_inv(spec, rng):
     out = adaptive.sort_by_inv(ledger, ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = [e.index for e in out] == order.tolist()
+    row["correct"] = out == order.tolist()
     return row
 
 
@@ -305,7 +269,7 @@ def _trial_network_sort(spec, rng):
     out = network_sort(ledger, ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = [e.index for e in out] == order.tolist()
+    row["correct"] = out == order.tolist()
     row["depth_bound"] = network_depth_bound(len(vals))
     return row
 
@@ -316,7 +280,7 @@ def _trial_tournament(spec, rng):
     res = tournament_min(ledger, ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = res.index == int(order[0])
+    row["correct"] = res == int(order[0])
     return row
 
 
@@ -328,7 +292,7 @@ def _trial_mom_select(spec, rng):
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
     row["k"] = k
-    row["correct"] = res.index == int(order[k])
+    row["correct"] = res == int(order[k])
     return row
 
 
@@ -338,7 +302,7 @@ def _trial_small_median(spec, rng):
     res = small_median(ledger, ids)
     order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = res.index == int(order[(len(vals) - 1) // 2])
+    row["correct"] = res == int(order[(len(vals) - 1) // 2])
     row["depth_bound"] = network_depth_bound(len(vals))
     return row
 
@@ -346,17 +310,16 @@ def _trial_small_median(spec, rng):
 def _trial_median_two_runs(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
-    order = _oracle_order(vals)
-    runs, _ = _measured_disorder(vals, order)
-    if runs > 2:
+    # a strict payload descent ends a run (equal payloads ascend by index)
+    arr = np.asarray(vals)
+    descents = np.flatnonzero(arr[1:] < arr[:-1]) + 1
+    if descents.size > 1:
         raise ConfigError("median_two_runs needs a two-run input (use two_runs)")
-    key = ledger.sort_key
-    boundary = next(
-        (i for i in range(1, len(vals)) if key(ids[i]) < key(ids[i - 1])), len(vals)
-    )
+    boundary = int(descents[0]) if descents.size else len(vals)
     res = adaptive.median_two_runs(ledger, ids[:boundary], ids[boundary:])
+    order = _oracle_order(vals)
     row = _base_row(ledger, vals, order)
-    row["correct"] = res.index == int(order[(len(vals) - 1) // 2])
+    row["correct"] = res == int(order[(len(vals) - 1) // 2])
     return row
 
 
@@ -379,13 +342,13 @@ def _trial_select_kth(spec, rng):
     row = _base_row(ledger, vals, order)
     row["k"] = k
     row["epsilon"] = spec.epsilon
-    row["correct"] = res.index == int(order[k])
+    row["correct"] = res == int(order[k])
     row["branch"] = info["branch"]
     row["C_size"] = info["candidate_size"]
     row["Sprime_size"] = info["filtered_size"]
-    row["fragility_of_selected_pre"] = int(ledger.phase_counts(PHASE_PRE)[res.index])
-    row["fragility_of_selected_filter"] = int(ledger.phase_counts(PHASE_FILTER)[res.index])
-    row["fragility_of_selected_backend"] = int(ledger.phase_counts(PHASE_BACKEND)[res.index])
+    row["fragility_of_selected_pre"] = int(ledger.phase_counts(PHASE_PRE)[res])
+    row["fragility_of_selected_filter"] = int(ledger.phase_counts(PHASE_FILTER)[res])
+    row["fragility_of_selected_backend"] = int(ledger.phase_counts(PHASE_BACKEND)[res])
     return row
 
 
@@ -417,7 +380,7 @@ def _trial_exp_search(spec, rng):
     for q, k in zip(queries, ranks):
         res = exp_search(ledger, view, q)
         ok = ok and res.rank == int(k)
-        violation = int(ledger.counts[q.index]) - exp_search_query_budget(int(k))
+        violation = int(ledger.counts[q]) - exp_search_query_budget(int(k))
         if violation > max_violation:
             max_violation, worst_k = violation, int(k)
     arr = ledger.counts[: view.n]

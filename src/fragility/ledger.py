@@ -1,6 +1,8 @@
-"""Element identities and the counting comparator.
+"""The counting comparator.
 
-Every algorithm in this package performs ordering queries exclusively through a
+An element's id is a plain ``int``: its index in the session's values.  Batch
+paths pass the same indices as ``np.intp`` arrays.  Every algorithm in this
+package performs ordering queries exclusively through a
 :class:`ComparisonLedger`, which records how many comparisons each element
 participates in.  Test oracles use the uncounted audit mode so that correctness
 checks never distort the measured comparison counts.
@@ -25,23 +27,6 @@ class Ordering(IntEnum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-
-
-@dataclass(frozen=True, slots=True)
-class ElementId:
-    """Stable handle into a session's value arena."""
-
-    index: int
-
-    def __repr__(self) -> str:  # compact traces
-        return f"e{self.index}"
-
-
-# Every session of size n hands out ElementId(0..n-1), and ids compare by
-# value, so one table serves all sessions.  The tuple is replaced by a longer
-# one, never mutated, so a reader always sees correct ids; two sessions that
-# grow it at once may lose one growth, which the next call redoes.
-_IDS: tuple[ElementId, ...] = ()
 
 
 @dataclass
@@ -116,51 +101,43 @@ class ComparisonLedger:
     def size(self) -> int:
         return len(self._values)
 
-    def ids(self) -> list[ElementId]:
-        global _IDS
-        n = len(self._values)
-        table = _IDS
-        if len(table) < n:
-            table = table + tuple(map(ElementId, range(len(table), n)))
-            _IDS = table
-        return list(table[:n])
+    def ids(self) -> list[int]:
+        return list(range(len(self._values)))
 
     # -- counted comparisons --------------------------------------------
 
-    def _check(self, a: ElementId, b: ElementId) -> tuple[int, int]:
-        ia, ib = a.index, b.index
+    def _check(self, a: int, b: int) -> None:
         n = len(self._values)
-        if not (0 <= ia < n) or not (0 <= ib < n):
+        if not (0 <= a < n) or not (0 <= b < n):
             raise UnknownElement(f"ids {a}, {b} outside session of size {n}")
-        if ia == ib:
+        if a == b:
             raise SelfComparison(f"element {a} compared with itself")
-        return ia, ib
 
-    def compare(self, a: ElementId, b: ElementId) -> Ordering:
-        ia, ib = self._check(a, b)
+    def compare(self, a: int, b: int) -> Ordering:
+        self._check(a, b)
         counts = self.counts
-        counts[ia] += 1
-        counts[ib] += 1
+        counts[a] += 1
+        counts[b] += 1
         self.total += 1
         if self._phase is not None:
             pc = self._phase_counts[self._phase]
-            pc[ia] += 1
-            pc[ib] += 1
-        va, vb = self._values[ia], self._values[ib]
+            pc[a] += 1
+            pc[b] += 1
+        va, vb = self._values[a], self._values[b]
         if va < vb:
             return Ordering.LESS
         if vb < va:
             return Ordering.GREATER
         return Ordering.EQUAL
 
-    def less(self, a: ElementId, b: ElementId) -> bool:
+    def less(self, a: int, b: int) -> bool:
         """Counted strict order; equal payloads break ties by element index.
 
         Tie-breaking is arithmetic on indices and costs no extra comparison.
         """
         order = self.compare(a, b)
         if order is Ordering.EQUAL:
-            return a.index < b.index
+            return a < b
         return order is Ordering.LESS
 
     def compare_batch(self, a_indices: np.ndarray, b_indices: np.ndarray) -> np.ndarray:
@@ -181,10 +158,8 @@ class ComparisonLedger:
         if np.any(a_indices == b_indices):
             raise SelfComparison("batch contains a self-comparison")
         if self._vnum is None:
-            return np.array(
-                [int(self.compare(ElementId(int(i)), ElementId(int(j)))) for i, j in zip(a_indices, b_indices)],
-                dtype=np.int8,
-            )
+            pairs = zip(a_indices.tolist(), b_indices.tolist())
+            return np.array([int(self.compare(i, j)) for i, j in pairs], dtype=np.int8)
         np.add.at(self.counts, a_indices, 1)
         np.add.at(self.counts, b_indices, 1)
         self.total += int(a_indices.size)
@@ -198,31 +173,31 @@ class ComparisonLedger:
 
     # -- audit mode -----------------------------------------------------
 
-    def audit_compare(self, a: ElementId, b: ElementId) -> Ordering:
-        ia, ib = self._check(a, b)
+    def audit_compare(self, a: int, b: int) -> Ordering:
+        self._check(a, b)
         self.audit_total += 1
-        va, vb = self._values[ia], self._values[ib]
+        va, vb = self._values[a], self._values[b]
         if va < vb:
             return Ordering.LESS
         if vb < va:
             return Ordering.GREATER
         return Ordering.EQUAL
 
-    def audit_less(self, a: ElementId, b: ElementId) -> bool:
+    def audit_less(self, a: int, b: int) -> bool:
         order = self.audit_compare(a, b)
         if order is Ordering.EQUAL:
-            return a.index < b.index
+            return a < b
         return order is Ordering.LESS
 
-    def payload(self, a: ElementId):
+    def payload(self, a: int):
         """Audit-only payload access for oracles and verifiers."""
-        if not (0 <= a.index < len(self._values)):
+        if not (0 <= a < len(self._values)):
             raise UnknownElement(str(a))
-        return self._values[a.index]
+        return self._values[a]
 
-    def sort_key(self, a: ElementId) -> tuple:
+    def sort_key(self, a: int) -> tuple:
         """Audit-only total-order key (payload, then index)."""
-        return (self.payload(a), a.index)
+        return (self.payload(a), a)
 
     # -- phases ----------------------------------------------------------
 
@@ -242,12 +217,9 @@ class ComparisonLedger:
 
     # -- profiling -------------------------------------------------------
 
-    def snapshot(self) -> np.ndarray:
-        return self.counts.copy()
-
     def profile(
         self,
-        role_map: Optional[Mapping[ElementId, str]] = None,
+        role_map: Optional[Mapping[int, str]] = None,
         phase: Optional[str] = None,
     ) -> FragilityProfile:
         counts = self.counts if phase is None else self.phase_counts(phase)
@@ -258,17 +230,17 @@ class ComparisonLedger:
         if role_map:
             grouped: dict[str, list[int]] = {}
             for eid, role in role_map.items():
-                grouped.setdefault(role, []).append(int(counts[eid.index]))
+                grouped.setdefault(role, []).append(int(counts[eid]))
             by_role = {r: (max(v), sum(v) / len(v)) for r, v in grouped.items()}
         return FragilityProfile(per_element=per_element, max=mx, mean=mean, by_role=by_role, phase=phase)
 
 
-def new_session(values: Sequence) -> tuple[ComparisonLedger, list[ElementId]]:
-    """Create a session over ``values``; ids are returned in input order."""
+def new_session(values: Sequence) -> tuple[ComparisonLedger, list[int]]:
+    """Create a session over ``values``; its ids are ``0..n-1`` in input order."""
     ledger = ComparisonLedger(values)
     return ledger, ledger.ids()
 
 
-def audit_sorted(ledger: ComparisonLedger, ids: Iterable[ElementId]) -> list[ElementId]:
+def audit_sorted(ledger: ComparisonLedger, ids: Iterable[int]) -> list[int]:
     """Uncounted oracle sort by (payload, index)."""
     return sorted(ids, key=ledger.sort_key)

@@ -8,15 +8,14 @@ shared by the search, selection and adaptive modules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, RankOutOfRange
-from .ledger import ComparisonLedger, ElementId, Ordering
+from .ledger import ComparisonLedger
 
 
 def ceil_log2(m: int) -> int:
@@ -41,12 +40,6 @@ class ComparatorSchedule:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def to_text(self) -> str:
-        lines = []
-        for layer in self.layers:
-            lines.append(" ".join(f"{i}-{j}" for i, j in layer))
-        return "\n".join(lines) + "\n"
 
     def apply_plain(self, values: list) -> list:
         """Apply the network to plain comparable values (no ledger); test aid."""
@@ -112,7 +105,7 @@ def _schedule_arrays(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
 SCALAR_NETWORK_WIRES = 16
 
 
-def network_sort(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> list[ElementId]:
+def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
     """Sort via the Batcher network; per-element comparisons <= network depth.
 
     Small networks run their comparators one at a time through
@@ -131,7 +124,7 @@ def network_sort(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> list[Ele
                 if not less(out[i], out[j]):
                     out[i], out[j] = out[j], out[i]
         return out
-    arr = np.fromiter((e.index for e in ids), dtype=np.intp, count=m)
+    arr = np.array(ids, dtype=np.intp)
     for pos_a, pos_b in _schedule_arrays(m):
         ia = arr[pos_a]
         ib = arr[pos_b]
@@ -141,10 +134,10 @@ def network_sort(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> list[Ele
             sa = pos_a[swap]
             sb = pos_b[swap]
             arr[sa], arr[sb] = ib[swap], ia[swap]
-    return [ElementId(int(i)) for i in arr]
+    return arr.tolist()
 
 
-def tournament_min(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> ElementId:
+def tournament_min(ledger: ComparisonLedger, ids: Sequence[int]) -> int:
     """Knockout minimum; every participant plays <= ceil(log2 m) rounds."""
     alive = list(ids)
     if not alive:
@@ -162,8 +155,8 @@ def tournament_min(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> Elemen
 
 def _gallop(
     ledger: ComparisonLedger,
-    key: ElementId,
-    xs: Sequence[ElementId],
+    key: int,
+    xs: Sequence[int],
     start: int,
 ) -> int:
     """Number of leading elements of xs[start:] strictly below key.
@@ -197,15 +190,15 @@ def _gallop(
 
 def exponential_merge(
     ledger: ComparisonLedger,
-    a: Sequence[ElementId],
-    b: Sequence[ElementId],
-) -> list[ElementId]:
+    a: Sequence[int],
+    b: Sequence[int],
+) -> list[int]:
     """Merge two ascending sequences by alternating galloping runs.
 
     Ascending means the session's canonical strict order (payload, then
     element index), so equal payloads merge deterministically in index order.
     """
-    out: list[ElementId] = []
+    out: list[int] = []
     i = j = 0
     while i < len(a) and j < len(b):
         c = _gallop(ledger, b[j], a, i)
@@ -221,7 +214,7 @@ def exponential_merge(
     return out
 
 
-def mom_select(ledger: ComparisonLedger, ids: Sequence[ElementId], k: int) -> ElementId:
+def mom_select(ledger: ComparisonLedger, ids: Sequence[int], k: int) -> int:
     """Deterministic rank-k selection (median of medians, group size 5)."""
     pool = list(ids)
     if not (0 <= k < len(pool)):
@@ -254,7 +247,7 @@ def mom_select(ledger: ComparisonLedger, ids: Sequence[ElementId], k: int) -> El
             k -= r + 1
 
 
-def small_median(ledger: ComparisonLedger, ids: Sequence[ElementId]) -> ElementId:
+def small_median(ledger: ComparisonLedger, ids: Sequence[int]) -> int:
     """Lower median via a full network sort; per-element cost <= depth."""
     pool = list(ids)
     if not pool:

@@ -1,9 +1,11 @@
 """Predecessor search in a sorted array.
 
-Three searchers share the same contract (index of the largest element strictly
-smaller than the query, or absent): plain exponential search, the
-offset-rotating dyadic-interval structure for search sequences, and a
-randomized offset-free variant.  The rotating structure spreads the array-side
+The array is a :class:`SortedView`, element ids (plain ints) in ascending
+payload order, and a search answers with a position in that view, not with an
+element id.  Three searchers share the same contract (the position of the
+largest element strictly smaller than the query, or absent): plain
+exponential search, the offset-rotating dyadic-interval structure for search
+sequences, and a randomized offset-free variant.  The rotating structure spreads the array-side
 comparison load; :func:`potential_audit` and :func:`amortized_check` make its
 amortized accounting executable.
 """
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnknownElement
-from .ledger import ComparisonLedger, ElementId, Ordering
+from .ledger import ComparisonLedger, Ordering
 from .primitives import ceil_log2
 
 # Per-search amortized comparison budget on a fixed array element, expressed
@@ -30,20 +32,14 @@ AMORTIZED_BUDGET_PER_DISTANCE = 112
 class SortedView:
     """Ids in ascending payload order (verifiable only via audit comparisons)."""
 
-    ids: tuple[ElementId, ...]
+    ids: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
-    def position_of(self, y: ElementId) -> int:
-        for pos, e in enumerate(self.ids):
-            if e == y:
-                return pos
-        raise UnknownElement(f"{y} not in view")
 
-
-def make_view(ids: Sequence[ElementId]) -> SortedView:
+def make_view(ids: Sequence[int]) -> SortedView:
     return SortedView(ids=tuple(ids))
 
 
@@ -74,12 +70,12 @@ class SearchTrace:
 
     def record(
         self,
-        query: ElementId,
+        query: int,
         result: PredecessorResult,
         compared: list[int],
         ranks: Optional[list[int]] = None,
     ) -> None:
-        rec = {"query": query.index, "result": result.index, "compared": list(compared)}
+        rec = {"query": query, "result": result.index, "compared": list(compared)}
         if ranks is not None:
             rec["ranks"] = list(ranks)
         self.searches.append(rec)
@@ -97,7 +93,7 @@ def _finish(lo: int) -> PredecessorResult:
 def exp_search(
     ledger: ComparisonLedger,
     view: SortedView,
-    query: ElementId,
+    query: int,
     trace: Optional[SearchTrace] = None,
 ) -> PredecessorResult:
     """Exponential (doubling) search from the low end of the array.
@@ -167,11 +163,11 @@ class OffsetSearchStructure:
         self.offsets: list[list[int]] = [
             [0] * (-(-self.n // (1 << i))) for i in range(self.max_rank + 1)
         ]
-        self._positions = {e.index: pos for pos, e in enumerate(view.ids)}
+        self._positions = {e: pos for pos, e in enumerate(view.ids)}
 
-    def position_of(self, y: ElementId) -> int:
+    def position_of(self, y: int) -> int:
         try:
-            return self._positions[y.index]
+            return self._positions[y]
         except KeyError:
             raise UnknownElement(f"{y} not in view") from None
 
@@ -186,7 +182,7 @@ def build_offset_structure(view: SortedView) -> OffsetSearchStructure:
 def offset_search(
     ledger: ComparisonLedger,
     s: OffsetSearchStructure,
-    query: ElementId,
+    query: int,
     trace: Optional[SearchTrace] = None,
 ) -> PredecessorResult:
     """Predecessor search that rotates which element of an interval is probed.
@@ -252,7 +248,7 @@ def offset_search(
 def randomized_search(
     ledger: ComparisonLedger,
     view: SortedView,
-    query: ElementId,
+    query: int,
     rng: np.random.Generator,
     trace: Optional[SearchTrace] = None,
 ) -> PredecessorResult:
@@ -281,12 +277,12 @@ def randomized_search(
 class PotentialAudit:
     """Executable rotation-debt accounting for one array element."""
 
-    y: ElementId
+    y: int
     per_rank: dict[int, int]
     phi: Fraction
 
 
-def potential_audit(s: OffsetSearchStructure, y: ElementId) -> PotentialAudit:
+def potential_audit(s: OffsetSearchStructure, y: int) -> PotentialAudit:
     """Potential of y: sum over ranks i >= 1 of (2^i - t_y) / 2^i.
 
     t_y is how many offset increments the rank-i interval containing y needs
@@ -332,7 +328,7 @@ def amortized_check(trace: SearchTrace, y_pos: int) -> AmortizedVerdict:
 
 
 def predecessor_oracle(
-    ledger: ComparisonLedger, view: SortedView, query: ElementId
+    ledger: ComparisonLedger, view: SortedView, query: int
 ) -> PredecessorResult:
     """Linear-scan audit-mode oracle."""
     best = None

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, RankOutOfRange
-from .ledger import ComparisonLedger, ElementId
+from .ledger import ComparisonLedger
 from .primitives import mom_select, network_sort
 
-Backend = Callable[[ComparisonLedger, Sequence[ElementId], int], ElementId]
+Backend = Callable[[ComparisonLedger, Sequence[int], int], int]
 
 PHASE_PRE = "select:pre"  # sampling, recursive filtering, pivot choice
 PHASE_FILTER = "select:filter"  # building {x <= z} over the whole input
@@ -37,38 +37,25 @@ class SampleChain:
 class CandidateSet:
     """Everything at or below the pivot z; contains the rank-k element."""
 
-    ids: list[ElementId]
-    z: ElementId
+    ids: list[int]
+    z: int
     chain: SampleChain
 
 
-def _filter_indices(
-    ledger: ComparisonLedger, pool_idx: np.ndarray, z_idx: int
-) -> np.ndarray:
-    """Counted filter {x in pool : x <= z} on raw indices; z is kept for free."""
-    others = pool_idx[pool_idx != z_idx]
+def _filter_at_most(ledger: ComparisonLedger, pool: Sequence[int], z: int) -> np.ndarray:
+    """Counted filter {x in pool : x <= z} as an index array; z is kept for free."""
+    pool = np.asarray(pool, dtype=np.intp)
+    others = pool[pool != z]
     if others.size == 0:
-        return np.array([z_idx], dtype=np.intp)
-    signs = ledger.compare_batch(others, np.full(others.size, z_idx, dtype=np.intp))
-    keep = (signs < 0) | ((signs == 0) & (others < z_idx))
-    return np.append(others[keep], z_idx)
-
-
-def _filter_at_most(
-    ledger: ComparisonLedger, pool: Sequence[ElementId], z: ElementId
-) -> list[ElementId]:
-    """Counted filter {x in pool : x <= z}; z itself is kept for free."""
-    kept = _filter_indices(ledger, _index_array(pool), z.index)
-    return [ElementId(int(i)) for i in kept]
-
-
-def _index_array(xs: Sequence[ElementId]) -> np.ndarray:
-    return np.fromiter((x.index for x in xs), dtype=np.intp, count=len(xs))
+        return np.array([z], dtype=np.intp)
+    signs = ledger.compare_batch(others, np.full(others.size, z, dtype=np.intp))
+    keep = (signs < 0) | ((signs == 0) & (others < z))
+    return np.append(others[keep], z)
 
 
 def reset(
     ledger: ComparisonLedger,
-    xs: Sequence[ElementId] | np.ndarray,
+    xs: Sequence[int],
     k: int,
     rng: np.random.Generator,
 ) -> CandidateSet:
@@ -76,40 +63,35 @@ def reset(
 
     Samples half (floor) of the pool per level until k >= |pool|/2 - 1, then
     filters back up through pivots, returning a candidate set of expected size
-    about 2(k+1) that always contains the rank-k element of the input.  The
-    pool is given as element ids or as an integer array of their indices.
+    about 2(k+1) that always contains the rank-k element of the input.
     """
     n = len(xs)
     if not (0 <= k < n):
         raise RankOutOfRange(f"k={k} outside [0, {n})")
-    # levels are raw index arrays; ElementIds are materialized only for the
-    # small back-sets handed to mom_select
-    levels = [xs if isinstance(xs, np.ndarray) else _index_array(xs)]
+    # levels are index arrays; only the small back-sets handed to mom_select
+    # become lists
+    levels = [np.asarray(xs, dtype=np.intp)]
     while len(levels[-1]) > 2 * k + 2:  # recurse until k >= |A|/2 - 1
         cur = levels[-1]
         levels.append(rng.permutation(cur)[: len(cur) // 2])
     back = levels[-1]
     back_sizes = [len(back)]
-    z_idx = int(back[0])
     for level in reversed(levels):
-        back_ids = [ElementId(int(i)) for i in back]
-        z_idx = mom_select(ledger, back_ids, min(k, len(back_ids) - 1)).index
+        z = mom_select(ledger, back.tolist(), min(k, len(back) - 1))
         # threshold filters get their own phase tag: they are candidate-set
         # construction, same role as building the final filtered set
         with ledger.in_phase(PHASE_FILTER):
-            back = _filter_indices(ledger, level, z_idx)
+            back = _filter_at_most(ledger, level, z)
         back_sizes.append(len(back))
     chain = SampleChain(level_sizes=[len(l) for l in levels], back_sizes=back_sizes)
-    return CandidateSet(
-        ids=[ElementId(int(i)) for i in back], z=ElementId(z_idx), chain=chain
-    )
+    return CandidateSet(ids=back.tolist(), z=z, chain=chain)
 
 
-def backend_network(ledger: ComparisonLedger, ids: Sequence[ElementId], k: int) -> ElementId:
+def backend_network(ledger: ComparisonLedger, ids: Sequence[int], k: int) -> int:
     return network_sort(ledger, list(ids))[k]
 
 
-def backend_mom(ledger: ComparisonLedger, ids: Sequence[ElementId], k: int) -> ElementId:
+def backend_mom(ledger: ComparisonLedger, ids: Sequence[int], k: int) -> int:
     return mom_select(ledger, list(ids), k)
 
 BACKENDS: dict[str, Backend] = {
@@ -120,13 +102,13 @@ BACKENDS: dict[str, Backend] = {
 
 def select_kth(
     ledger: ComparisonLedger,
-    xs: Sequence[ElementId],
+    xs: Sequence[int],
     k: int,
     rng: np.random.Generator,
     backend: Backend = backend_network,
     epsilon: float = 0.01,
     info: Optional[dict] = None,
-) -> ElementId:
+) -> int:
     """Return the rank-k element of xs.
 
     The sampled branch runs when k <= n^epsilon and the sample size
@@ -149,14 +131,13 @@ def select_kth(
         return pool[0]
     size = n // max(k, 1)
     if k <= n**epsilon and size > k:
-        pool_idx = _index_array(pool)
+        pool_idx = np.array(pool, dtype=np.intp)
         with ledger.in_phase(PHASE_PRE):
             picks = rng.permutation(n)[:size]
             cand = reset(ledger, pool_idx[picks], k, rng)
             z = mom_select(ledger, cand.ids, k)
         with ledger.in_phase(PHASE_FILTER):
-            kept = _filter_indices(ledger, pool_idx, z.index)
-        filtered = [ElementId(int(i)) for i in kept]
+            filtered = _filter_at_most(ledger, pool_idx, z).tolist()
         if info is not None:
             info.update(
                 branch="sampled",

@@ -84,7 +84,7 @@ def test_criterion_02_exp_search_rank_budget_full_sweep():
         res = exp_search(ledger, view, q)
         if res.rank != k:
             wrong += 1
-        if int(ledger.counts[q.index]) > exp_search_query_budget(k):
+        if int(ledger.counts[q]) > exp_search_query_budget(k):
             violations += 1
     ok = violations == 0 and wrong == 0
     _criterion(2, "exp_search rank budget, k=1..2^16", ok,
@@ -156,7 +156,7 @@ def test_criterion_05_selection_expectations():
             ledger, ids = new_session(vals)
             cand = reset(ledger, ids, k, rng)
             target = int(np.argsort(vals, kind="stable")[k])
-            if all(e.index != target for e in cand.ids):
+            if target not in cand.ids:
                 containment_misses += 1
             sizes.append(len(cand.ids))
         mean_c = sum(sizes) / len(sizes)
@@ -259,7 +259,7 @@ def test_criterion_09_network_and_tournament_properties():
         ledger, ids = new_session([int(v) for v in rng.permutation(m)])
         winner = tournament_min(ledger, ids)
         tournament_ok = (tournament_ok and ledger.payload(winner) == 0
-                         and int(ledger.counts[winner.index]) <= ceil_log2(m))
+                         and int(ledger.counts[winner]) <= ceil_log2(m))
     ok = zero_one_ok and depth_ok and tournament_ok
     _criterion(9, "network 0-1 principle, depth, tournament", ok,
                f"zero_one={zero_one_ok}, depth={depth_ok}, tournament={tournament_ok}")

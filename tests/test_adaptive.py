@@ -91,7 +91,7 @@ def test_extract_sorted_run_structure(values):
     inv = count_inversions_oracle(ledger, ids)
     keys = [ledger.sort_key(e) for e in ext.R]
     assert keys == sorted(keys)
-    assert sorted(e.index for e in ext.R + ext.I) == list(range(len(ids)))
+    assert sorted(ext.R + ext.I) == list(range(len(ids)))
     assert len(ext.I) <= 2 * inv
     assert int(ledger.counts.max()) <= 4
 
@@ -152,13 +152,13 @@ def test_median_by_runs_controlled_with_balanced_removals(runs):
     res = median_by_runs(ledger, ids, log=log)
     ordered = audit_sorted(ledger, ids)
     assert res == ordered[(n - 1) // 2]
-    rank = {e.index: r for r, e in enumerate(ordered)}
+    rank = {e: r for r, e in enumerate(ordered)}
     for step in log:
         # balanced: equally many certified-low and certified-high removals,
         # none of which is the global median
         assert len(step.removed_low) == len(step.removed_high)
-        assert all(rank[e.index] < (n - 1) // 2 for e in step.removed_low)
-        assert all(rank[e.index] > (n - 1) // 2 for e in step.removed_high)
+        assert all(rank[e] < (n - 1) // 2 for e in step.removed_low)
+        assert all(rank[e] > (n - 1) // 2 for e in step.removed_high)
 
 
 def test_median_by_inv_correct_on_controlled_inputs():

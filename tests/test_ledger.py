@@ -3,17 +3,16 @@
 import json
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility import ledger as ledger_mod
 from fragility.errors import EmptyInput, SelfComparison, UnknownElement
 from fragility.ledger import (
     ComparisonLedger,
-    ElementId,
     Ordering,
     audit_sorted,
     new_session,
@@ -55,40 +54,39 @@ def test_self_comparison_rejected():
 def test_unknown_element_rejected():
     ledger, ids = new_session([1, 2])
     with pytest.raises(UnknownElement):
-        ledger.compare(ids[0], ElementId(99))
+        ledger.compare(ids[0], 99)
     with pytest.raises(UnknownElement):
-        ledger.payload(ElementId(99))
+        ledger.payload(99)
 
 
 def test_sessions_share_ids_without_sharing_lists():
     first = None
     for n in (3, 1, 5):
         ledger, ids = new_session(list(range(n)))
-        assert ids == [ElementId(i) for i in range(n)]
+        assert ids == list(range(n))
         assert ledger.ids() == ids
         if first is None:
             first = ids
-            first.append(ElementId(42))
-            first[0] = ElementId(7)
+            first.append(42)
+            first[0] = 7
     ledger, ids = new_session([1, 2])
-    assert ids == [ElementId(0), ElementId(1)]
+    assert ids == [0, 1]
     with pytest.raises(UnknownElement):
-        ledger.compare(ids[0], ElementId(99))
+        ledger.compare(ids[0], 99)
     with pytest.raises(UnknownElement):
-        ledger.payload(ElementId(99))
+        ledger.payload(99)
 
 
 def test_shared_ids_grow_safely_across_threads():
-    """Sessions built concurrently while the id table grows get correct ids."""
-    base = len(ledger_mod._IDS)
+    """Sessions built concurrently on several threads get correct ids."""
+    base = 0
     bad = []
 
     def worker(offset):
         for step in range(100):
-            n = base + 1 + step * 50 + offset * 13  # most calls grow the table
+            n = base + 1 + step * 50 + offset * 13
             _, ids = new_session([0] * n)
-            # the prefix below `base` existed before the threads started
-            if len(ids) != n or any(ids[i].index != i for i in range(base, n)):
+            if len(ids) != n or any(ids[i] != i for i in range(base, n)):
                 bad.append(n)
 
     interval = sys.getswitchinterval()
@@ -213,7 +211,7 @@ def test_profile_roles_and_serialization():
 def test_audit_sorted_is_payload_then_index():
     ledger, ids = new_session([4, 1, 4, 0])
     order = audit_sorted(ledger, ids)
-    assert [e.index for e in order] == [3, 1, 0, 2]
+    assert order == [3, 1, 0, 2]
     assert ledger.total == 0
 
 
@@ -223,3 +221,25 @@ def test_non_numeric_payloads_fall_back():
     signs = ledger.compare_batch(np.array([0, 1]), np.array([2, 2]))
     assert list(signs) == [1, -1]
     assert int(ledger.counts.sum()) == 2 * ledger.total
+
+
+def test_compare_batch_object_fallback_matches_compare():
+    """Fractions make an object-dtype array, so compare_batch compares per pair."""
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 6), Fraction(5, 4), Fraction(2, 4)]
+    pairs = [(i, j) for i in range(5) for j in range(5) if i != j] + [(0, 2), (4, 1)]
+    l1, _ = new_session(values)
+    l2, ids2 = new_session(values)
+    assert l1._vnum is None
+    a = np.array([i for i, _ in pairs], dtype=np.intp)
+    b = np.array([j for _, j in pairs], dtype=np.intp)
+    with l1.in_phase("batch"):
+        signs = l1.compare_batch(a, b)
+    with l2.in_phase("batch"):
+        expected = [int(l2.compare(ids2[i], ids2[j])) for i, j in pairs]
+    assert signs.dtype == np.int8
+    assert signs.tolist() == expected
+    assert expected.count(0) == 6  # equal payloads: (0, 2) and (1, 4) both ways, plus repeats
+    assert l1.counts.tolist() == l2.counts.tolist()
+    assert l1.total == l2.total == len(pairs)
+    assert l1.phase_counts("batch").tolist() == l2.phase_counts("batch").tolist()
+    assert int(l1.counts.sum()) == 2 * l1.total

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragility.errors import UnknownElement
-from fragility.ledger import ElementId, new_session
+from fragility.ledger import new_session
 from fragility.primitives import ceil_log2
 from fragility.search import (
     AMORTIZED_BUDGET_PER_DISTANCE,
@@ -69,10 +69,10 @@ def test_exp_search_query_budget_sweep_small():
         [2 * i for i in range(n)], [2 * k - 1 for k in range(1, n + 1)]
     )
     for k, q in enumerate(qids, start=1):
-        before = int(ledger.counts[q.index])
+        before = int(ledger.counts[q])
         res = exp_search(ledger, view, q)
         assert res.rank == k
-        assert int(ledger.counts[q.index]) - before <= exp_search_query_budget(k)
+        assert int(ledger.counts[q]) - before <= exp_search_query_budget(k)
 
 
 def test_search_trace_records_counts_and_jsonl():
@@ -100,7 +100,7 @@ def test_offset_structure_position_and_slots():
     assert s.n_padded == 16 and s.max_rank == 4
     assert s.position_of(view.ids[5]) == 5
     with pytest.raises(UnknownElement):
-        s.position_of(ElementId(99))
+        s.position_of(99)
     assert s.slot_count() == 16 + 8 + 4 + 2 + 1
 
 

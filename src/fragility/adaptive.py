@@ -63,39 +63,51 @@ def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> RunDecomposition
     return RunDecomposition(runs=runs, heads=heads)
 
 
-def count_permutation_inversions(perm: np.ndarray) -> int:
-    """Inversions of a permutation of 0..n-1 by bottom-up merging, vectorized.
+# strict upper triangle: mask[i, j] is set where position i precedes j
+_UPPER = np.triu(np.ones((128, 128), dtype=bool), 1)
+_BASE_WIDTH = 8
 
-    The array is padded with a maximal sentinel to a power of two.  At the
-    level of width w every block of 2w positions holds two sorted halves, and
-    one sort of the keys (block, value, half) merges all blocks at once, left
-    halves first among equal values.  A right-half element at merged position
-    p, with j right-half elements before it, follows p - j left-half
-    elements, block * w of them from earlier blocks; the rest of its own
-    block's left half lies above it, one inversion each.
+
+def count_permutation_inversions(perm: np.ndarray) -> int:
+    """Inversions of a permutation of 0..n-1 by bottom-up merging of rows.
+
+    The values go into an int32 array (int64 when 2n+1 does not fit), padded
+    to a power of two with the sentinel n.  Sentinels only follow real values
+    and are equal to each other, so no pair involving one is an inversion.
+
+    First, one pairwise count under the strict-upper-triangle mask covers
+    every block of 8 positions (or the whole padded array when it holds at
+    most 128).  Then each level pairs two sorted halves of width w into a row
+    of 2w tags ``(value << 1) | half`` and sorts the rows; equal values (only
+    sentinels) put the left half first.  In a row, the j-th right-half tag at
+    position p follows p - j left-half values, so the other w - (p - j) left
+    values exceed it; over a row that sums to (3w^2 - w)/2 minus the right
+    tags' positions.  See Knuth, TAOCP Vol. 3, 5.1.1.
     """
     n = int(perm.size)
     if n < 2:
         return 0
-    levels = (n - 1).bit_length()
-    padded = 1 << levels
-    vbits = levels + 1  # the values and the sentinel n fit in vbits bits
-    a = np.full(padded, n, dtype=np.int64)  # sentinel == n, never counted
+    padded = 1 << (n - 1).bit_length()
+    dtype = np.int32 if 2 * n + 1 <= np.iinfo(np.int32).max else np.int64
+    a = np.full(padded, n, dtype=dtype)
     a[:n] = perm
-    pos = np.arange(padded, dtype=np.int64)
-    rights = padded // 2
-    inv = 0
-    for lw in range(levels):
-        width = 1 << lw
-        blocks = padded >> (lw + 1)
-        keys = (pos >> (lw + 1)) << (vbits + 1)
-        keys |= a << 1
-        keys |= (pos >> lw) & 1
-        keys.sort(kind="stable")  # timsort merges the presorted halves
-        # sum over right-half elements of w - (p - j - block * w)
-        inv += (width * width * blocks * (blocks + 1) // 2
-                + rights * (rights - 1) // 2 - int((keys & 1) @ pos))
-        a = (keys >> 1) & ((1 << vbits) - 1)
+    w = padded if padded <= _UPPER.shape[0] else _BASE_WIDTH
+    cols = a.reshape(-1, w).T.copy()  # one column per block: long inner loops
+    above = cols[:, None] > cols
+    above &= _UPPER[:w, :w, None]
+    inv = int(np.count_nonzero(above))
+    if w == padded:
+        return inv
+    a.reshape(-1, w).sort(axis=1)
+    a <<= 1
+    while w < padded:
+        rows = a.reshape(-1, 2 * w)
+        rows[:, w:] |= 1
+        rows.sort(axis=1)
+        right_pos = int(((rows & 1) @ np.arange(2 * w)).sum())
+        inv += rows.shape[0] * (3 * w * w - w) // 2 - right_pos
+        a &= ~1
+        w *= 2
     return inv
 
 
@@ -170,10 +182,19 @@ def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> Inversio
     return InversionExtract(R=stack, I=removed, marks_used=marks_used)
 
 
-def min_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
-    """Extract (R, I), tournament over I, final compare with R's head."""
+def min_by_inv(
+    ledger: ComparisonLedger,
+    seq: Sequence[int],
+    info: Optional[dict] = None,
+) -> int:
+    """Extract (R, I), tournament over I, final compare with R's head.
+
+    If ``info`` is given it receives ``I_size``, the number of removals.
+    """
     with ledger.in_phase(PHASE_EXTRACT):
         ext = extract_sorted_run(ledger, seq)
+    if info is not None:
+        info["I_size"] = len(ext.I)
     if not ext.I:
         return ext.R[0]
     with ledger.in_phase(PHASE_TOURNAMENT):

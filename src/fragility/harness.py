@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from .search import (
     randomized_search,
 )
 from .selection import PHASE_BACKEND, PHASE_FILTER, PHASE_PRE, BACKENDS, select_kth
+
+if TYPE_CHECKING:  # hints only; numpy.typing costs ~1 ms of import time
+    from numpy.typing import ArrayLike
 
 # Child-seed scheme: trial i of an experiment with master seed s uses
 # (s * GOLDEN + i) mod 2^64 as its own numpy PCG64 seed.  Documented so that
@@ -165,13 +168,33 @@ GENERATORS = (
 )
 
 
-def _oracle_order(vals: list[int]) -> np.ndarray:
-    """Positions in the canonical (payload, position) order: a stable argsort."""
-    return np.argsort(np.asarray(vals), kind="stable")
+def _oracle_order(vals: ArrayLike) -> np.ndarray:
+    """Positions in the canonical (payload, position) order.
+
+    Equals ``np.argsort(vals, kind="stable")`` for totally ordered payloads,
+    from numpy's faster unstable sort.  When no two sorted neighbours are
+    equal that order is the only correct one; otherwise each group of equal
+    payloads is put back in position order by sorting the unique keys
+    ``group * n + position`` and taking them mod n.
+    """
+    arr = np.asarray(vals)
+    order = np.argsort(arr)
+    ranked = arr[order]
+    steps = ranked[1:] != ranked[:-1]
+    if steps.all():
+        return order
+    n = arr.size
+    keys = np.zeros(n, dtype=np.int64)
+    np.cumsum(steps, out=keys[1:])  # group id of each sorted slot
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
 
 
-def _measured_disorder(vals: list[int], order: Optional[np.ndarray] = None) -> tuple[int, int]:
-    """(Runs, Inv) under the canonical order; no ledger.
+def _measured_disorder(vals: ArrayLike, order: Optional[np.ndarray] = None) -> tuple[int, int]:
+    """(Runs, Inv) of the payloads under the canonical order; no ledger.
 
     ``order`` is ``_oracle_order(vals)``, passed in where the caller has it.
     """
@@ -192,25 +215,32 @@ def _measured_disorder(vals: list[int], order: Optional[np.ndarray] = None) -> t
 # per-trial runners; each returns a JSON-safe row dict
 
 
-def _base_row(ledger: ComparisonLedger, vals: list[int], order: np.ndarray) -> dict:
-    runs, inv = _measured_disorder(vals, order)
+def _base_row(ledger: ComparisonLedger, vals: ArrayLike) -> tuple[dict, np.ndarray]:
+    """The row fields every ordering trial reports, and the canonical order.
+
+    The payloads become one array, which the oracle order and the disorder
+    measures share.
+    """
+    arr = np.asarray(vals)
+    order = _oracle_order(arr)
+    runs, inv = _measured_disorder(arr, order)
     counts = ledger.counts
-    return {
-        "n": len(vals),
+    row = {
+        "n": int(arr.size),
         "runs": runs,
         "inv": inv,
         "frag_max": int(counts.max()),
         "frag_mean": float(counts.mean()),
         "total": int(ledger.total),
     }
+    return row, order
 
 
 def _trial_min_by_runs(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     res = adaptive.min_by_runs(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["correct"] = res == int(order[0])
     return row
 
@@ -218,13 +248,11 @@ def _trial_min_by_runs(spec, rng):
 def _trial_min_by_inv(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
-    res = adaptive.min_by_inv(ledger, ids)
-    ext_ledger, ext_ids = new_session(vals)
-    ext = adaptive.extract_sorted_run(ext_ledger, ext_ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    info: dict = {}
+    res = adaptive.min_by_inv(ledger, ids, info=info)
+    row, order = _base_row(ledger, vals)
     row["correct"] = res == int(order[0])
-    row["I_size"] = len(ext.I)
+    row["I_size"] = info["I_size"]
     return row
 
 
@@ -232,8 +260,7 @@ def _trial_extract(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     ext = adaptive.extract_sorted_run(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, _ = _base_row(ledger, vals)
     keys = [ledger.sort_key(e) for e in ext.R]
     row["correct"] = keys == sorted(keys) and len(ext.R) + len(ext.I) == len(vals)
     row["I_size"] = len(ext.I)
@@ -245,8 +272,7 @@ def _trial_median(algo):
         vals = _gen(spec, rng)
         ledger, ids = new_session(vals)
         res = algo(ledger, ids)
-        order = _oracle_order(vals)
-        row = _base_row(ledger, vals, order)
+        row, order = _base_row(ledger, vals)
         row["correct"] = res == int(order[(len(vals) - 1) // 2])
         return row
 
@@ -257,8 +283,7 @@ def _trial_sort_by_inv(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     out = adaptive.sort_by_inv(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["correct"] = out == order.tolist()
     return row
 
@@ -267,8 +292,7 @@ def _trial_network_sort(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     out = network_sort(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["correct"] = out == order.tolist()
     row["depth_bound"] = network_depth_bound(len(vals))
     return row
@@ -278,8 +302,7 @@ def _trial_tournament(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     res = tournament_min(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["correct"] = res == int(order[0])
     return row
 
@@ -289,8 +312,7 @@ def _trial_mom_select(spec, rng):
     k = spec.k if spec.k is not None else int(rng.integers(0, len(vals)))
     ledger, ids = new_session(vals)
     res = mom_select(ledger, ids, k)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["k"] = k
     row["correct"] = res == int(order[k])
     return row
@@ -300,8 +322,7 @@ def _trial_small_median(spec, rng):
     vals = _gen(spec, rng)
     ledger, ids = new_session(vals)
     res = small_median(ledger, ids)
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["correct"] = res == int(order[(len(vals) - 1) // 2])
     row["depth_bound"] = network_depth_bound(len(vals))
     return row
@@ -317,8 +338,7 @@ def _trial_median_two_runs(spec, rng):
         raise ConfigError("median_two_runs needs a two-run input (use two_runs)")
     boundary = int(descents[0]) if descents.size else len(vals)
     res = adaptive.median_two_runs(ledger, ids[:boundary], ids[boundary:])
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, arr)
     row["correct"] = res == int(order[(len(vals) - 1) // 2])
     return row
 
@@ -338,8 +358,7 @@ def _trial_select_kth(spec, rng):
         epsilon=spec.epsilon,
         info=info,
     )
-    order = _oracle_order(vals)
-    row = _base_row(ledger, vals, order)
+    row, order = _base_row(ledger, vals)
     row["k"] = k
     row["epsilon"] = spec.epsilon
     row["correct"] = res == int(order[k])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fragility import generators
 from fragility.adaptive import (
     count_inversions_oracle,
+    count_permutation_inversions,
     count_runs,
     extract_sorted_run,
     median_by_inv,
@@ -61,6 +62,63 @@ def test_count_inversions_oracle_matches_brute_force(values):
     ledger, ids = new_session(values)
     assert count_inversions_oracle(ledger, ids) == _brute_inversions(ledger, ids)
     assert ledger.total == 0  # audit only
+
+
+def _merge_count(seq):
+    """Sorted copy and inversion count of ``seq`` by top-down merge sort."""
+    if len(seq) < 2:
+        return list(seq), 0
+    mid = len(seq) // 2
+    left, inv_left = _merge_count(seq[:mid])
+    right, inv_right = _merge_count(seq[mid:])
+    merged, inv = [], inv_left + inv_right
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            merged.append(right[j])
+            inv += len(left) - i  # every left value still waiting exceeds it
+            j += 1
+        else:
+            merged.append(left[i])
+            i += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged, inv
+
+
+def _check_permutation_counts(n, rng):
+    perms = [np.arange(n), np.arange(n)[::-1], rng.permutation(n)]
+    for perm in perms:
+        assert count_permutation_inversions(perm) == _merge_count(perm.tolist())[1], n
+
+
+def test_count_permutation_inversions_matches_merge_count_every_small_n():
+    """Every n up to 300: the pairwise base alone (n <= 128) and the row merges."""
+    rng = np.random.default_rng(300)
+    for n in range(301):
+        _check_permutation_counts(n, rng)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_count_permutation_inversions_around_powers_of_two(k):
+    """Padding from none to 2^k - 1 sentinels; every row width up to 2^15."""
+    rng = np.random.default_rng(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        _check_permutation_counts(n, rng)
+
+
+def test_min_by_inv_info_reports_extraction_without_moving_counts():
+    values = generators.gen_controlled_inv(512, 300, np.random.default_rng(9))
+    plain, plain_ids = new_session(values)
+    logged, logged_ids = new_session(values)
+    info = {}
+    assert min_by_inv(logged, logged_ids, info=info) == min_by_inv(plain, plain_ids)
+    ext = extract_sorted_run(*new_session(values))
+    assert info == {"I_size": len(ext.I)} and len(ext.I) > 0
+    assert logged.counts.tolist() == plain.counts.tolist()
+    assert logged.total == plain.total
+    for phase in ("extract", "tournament"):
+        assert logged.phase_counts(phase).tolist() == plain.phase_counts(phase).tolist()
 
 
 @settings(max_examples=80, deadline=None)

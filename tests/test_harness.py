@@ -20,6 +20,7 @@ from fragility.harness import (
     run_experiment,
     verify,
     _measured_disorder,
+    _oracle_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,33 @@ def test_measured_disorder_matches_brute_force(vals):
     runs = (1 if n else 0) + sum(vals[i + 1] < vals[i] for i in range(n - 1))
     inv = sum(vals[i] > vals[j] for i in range(n) for j in range(i + 1, n))
     assert _measured_disorder(vals) == (runs, inv)
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [7],
+        [3, 1],
+        [4, 4],
+        [5] * 40,
+        generators.with_duplicates(generators.gen_random(300, np.random.default_rng(1))),
+        [-3, 7, -3, -10, 0, 7, -10, -3],
+        [0.5, -1.25, 0.5, 2.0, -1.25, 0.5],
+        generators.gen_random(1000, np.random.default_rng(2)),
+    ],
+    ids=["n1", "n2", "n2-equal", "all-equal", "with-duplicates", "negative", "float-ties", "distinct"],
+)
+def test_oracle_order_is_the_stable_argsort(vals):
+    expected = np.argsort(np.asarray(vals), kind="stable")
+    assert _oracle_order(vals).tolist() == expected.tolist()
+    assert _oracle_order(np.asarray(vals)).tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(vals=st.lists(st.integers(-5, 5), max_size=200))
+def test_oracle_order_is_the_stable_argsort_with_many_ties(vals):
+    expected = np.argsort(np.asarray(vals, dtype=np.int64), kind="stable")
+    assert _oracle_order(np.asarray(vals, dtype=np.int64)).tolist() == expected.tolist()
 
 
 @settings(max_examples=60, deadline=None)

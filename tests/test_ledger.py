@@ -243,3 +243,35 @@ def test_compare_batch_object_fallback_matches_compare():
     assert l1.total == l2.total == len(pairs)
     assert l1.phase_counts("batch").tolist() == l2.phase_counts("batch").tolist()
     assert int(l1.counts.sum()) == 2 * l1.total
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([5, -3, 5, 0, 9, -3]),
+        np.array([0.5, 2.25, 0.5, -1.0]),
+        np.array([7], dtype=np.int8),
+    ],
+)
+def test_session_from_array_keeps_a_private_copy(values):
+    """An array session batches on a copy of the array and matches a list session."""
+    from_array, _ = new_session(values)
+    from_list, _ = new_session(values.tolist())
+    assert from_array._vnum is not values
+    assert from_array._vnum.dtype == values.dtype
+    assert from_array._values == values.tolist()
+    n = values.size
+    a = np.array([i for i in range(n) for j in range(n) if i != j], dtype=np.intp)
+    b = np.array([j for i in range(n) for j in range(n) if i != j], dtype=np.intp)
+    snapshot = values.copy()
+    values[:] = 0  # the session must not see later writes to the caller's array
+    assert from_array.compare_batch(a, b).tolist() == from_list.compare_batch(a, b).tolist()
+    assert from_array.counts.tolist() == from_list.counts.tolist()
+    values[:] = snapshot
+
+
+def test_session_from_object_array_falls_back():
+    values = np.array([Fraction(1, 3), Fraction(1, 2), Fraction(2, 6)], dtype=object)
+    ledger, _ = new_session(values)
+    assert ledger._vnum is None
+    assert ledger.compare_batch(np.array([0, 1]), np.array([2, 2])).tolist() == [0, 1]

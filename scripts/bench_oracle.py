@@ -19,13 +19,14 @@ import statistics
 import sys
 import time
 
+SIZES = (100, 1 << 12, 1 << 17)  # small-many, a mid size, select-large
+SAMPLES = 15  # timed samples per size
+SAMPLE_S = 0.05  # seconds of repetitions per sample
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="directory holding the fragility package")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 1 << 12, 1 << 17])
-    parser.add_argument("--samples", type=int, default=15, help="timed samples per size")
-    parser.add_argument("--budget", type=float, default=0.05, help="seconds per sample")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
@@ -34,7 +35,7 @@ def main() -> int:
     from fragility.harness import _measured_disorder, _oracle_order
 
     out = {}
-    for n in args.sizes:
+    for n in SIZES:
         vals = generators.gen_random(n, np.random.default_rng(n))
 
         def step():
@@ -43,9 +44,9 @@ def main() -> int:
         step()  # warm caches and lazy imports
         t0 = time.perf_counter()
         step()
-        reps = max(1, int(args.budget / max(time.perf_counter() - t0, 1e-7)))
+        reps = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-7)))
         samples = []
-        for _ in range(args.samples):
+        for _ in range(SAMPLES):
             t0 = time.perf_counter()
             for _ in range(reps):
                 step()

@@ -80,18 +80,15 @@ class ComparisonLedger:
         if len(values) == 0:
             raise EmptyInput("a session needs at least one value")
         # an array's tolist() yields plain Python scalars, which the scalar
-        # comparisons handle faster than numpy scalars; a copy of the array
-        # serves the batch path
-        if isinstance(values, np.ndarray):
-            self._values = values.tolist()
-            vnum = values.copy()
-        else:
-            self._values = list(values)
-            try:
-                vnum = np.asarray(self._values)
-            except Exception:
+        # comparisons handle faster than numpy scalars
+        self._values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        try:
+            vnum = np.array(values)  # a private copy, also of an array
+            if vnum.dtype == object:
                 vnum = None
-        self._vnum = None if vnum is None or vnum.dtype == object else vnum
+        except Exception:
+            vnum = None
+        self._vnum = vnum
         self.counts = np.zeros(len(self._values), dtype=np.int64)
         self.total = 0
         self.audit_total = 0

@@ -13,13 +13,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import generators
 from .errors import FragilityError
 from .harness import (
+    SEQUENCE_GENERATORS,
     ExperimentSpec,
     Report,
     aggregate_reports,
     default_bound_sets,
+    generate,
     run_experiment,
     verify,
 )
@@ -34,22 +35,8 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.generator == "random":
-        vals = generators.gen_random(args.n, rng)
-    elif args.generator == "controlled_runs":
-        vals = generators.gen_controlled_runs(args.n, args.runs, rng)
-    elif args.generator == "controlled_inv":
-        vals = generators.gen_controlled_inv(args.n, args.inv, rng)
-    elif args.generator == "adversarial_run_plus_one":
-        vals = generators.gen_adversarial_run_plus_one(args.n, rng)
-    elif args.generator == "two_runs":
-        split = args.split if args.split is not None else args.n // 2
-        vals = generators.gen_two_runs(args.n, split, rng)
-    else:
-        vals = generators.gen_lower_bound_instance(args.n, args.k, rng)
-    if args.duplicates:
-        vals = generators.with_duplicates(vals)
+    # the flags are a spec's generator fields, with the CLI's own defaults
+    vals = generate(args, np.random.default_rng(args.seed))
     _write(args.out, "\n".join(str(v) for v in vals) + "\n")
     return 0
 
@@ -57,22 +44,9 @@ def _cmd_generate(args) -> int:
 def _spec_from_args(args) -> ExperimentSpec:
     if args.spec:
         return ExperimentSpec.from_file(args.spec)
-    mapping = {
-        "algorithm": args.algo,
-        "generator": args.generator,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "searches": args.searches,
-        "epsilon": args.epsilon,
-        "backend": args.backend,
-        "duplicates": args.duplicates,
-    }
-    for key in ("runs", "inv", "split", "k"):
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = value
-    if mapping["algorithm"] is None:
+    fields = ExperimentSpec.__dataclass_fields__
+    mapping = {key: value for key, value in vars(args).items() if key in fields and value is not None}
+    if "algorithm" not in mapping:
         raise FragilityError("either --spec or --algo is required")
     return ExperimentSpec.from_mapping(mapping)
 
@@ -122,18 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit an input sequence")
-    gen.add_argument(
-        "--generator",
-        default="random",
-        choices=[
-            "random",
-            "controlled_runs",
-            "controlled_inv",
-            "adversarial_run_plus_one",
-            "two_runs",
-            "lower_bound",
-        ],
-    )
+    gen.add_argument("--generator", default="random", choices=list(SEQUENCE_GENERATORS))
     gen.add_argument("--n", type=int, default=1024)
     gen.add_argument("--runs", type=int, default=2)
     gen.add_argument("--inv", type=int, default=0)
@@ -146,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment and emit a report")
     run.add_argument("--spec", default=None, help="key=value spec file")
-    run.add_argument("--algo", default=None)
+    run.add_argument("--algo", dest="algorithm", metavar="ALGO", default=None)
     run.add_argument("--generator", default="random")
     run.add_argument("--n", type=int, default=1024)
     run.add_argument("--trials", type=int, default=10)
@@ -187,10 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FragilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FragilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

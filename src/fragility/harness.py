@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -31,8 +31,8 @@ from .primitives import (
     tournament_min,
 )
 from .search import (
-    AMORTIZED_BUDGET_PER_DISTANCE,
     SearchTrace,
+    budget_per_element,
     build_offset_structure,
     exp_search,
     exp_search_query_budget,
@@ -80,8 +80,14 @@ class ExperimentSpec:
             raise ConfigError("trials must be >= 1")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.generator not in GENERATORS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
+        fits = RANK_GENERATORS if self.algorithm in SEARCHES else SEQUENCE_GENERATORS
+        if self.generator not in fits:
+            raise ConfigError(
+                f"algorithm {self.algorithm!r} takes generator {' | '.join(fits)},"
+                f" not {self.generator!r}"
+            )
+        if self.algorithm in SEARCHES and self.searches < 1:
+            raise ConfigError(f"searches={self.searches} must be >= 1 for {self.algorithm!r}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.runs is not None and not (1 <= self.runs <= self.n):
@@ -131,41 +137,62 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------------------
 # generators
+#
+# Table entries reach the input generators and the algorithms at call time,
+# through a module attribute or a harness global, and never hold them as
+# function objects, so that a wrapper rebound to those names sees every trial.
+
+# name -> call(spec, rng) -> payloads; an unset target takes the default shown
+SEQUENCE_GENERATORS: dict[str, Callable] = {
+    "random": lambda s, rng: generators.gen_random(s.n, rng),
+    "controlled_runs": lambda s, rng: generators.gen_controlled_runs(
+        s.n, 2 if s.runs is None else s.runs, rng
+    ),
+    "controlled_inv": lambda s, rng: generators.gen_controlled_inv(
+        s.n, s.n if s.inv is None else s.inv, rng
+    ),
+    "adversarial_run_plus_one": lambda s, rng: generators.gen_adversarial_run_plus_one(s.n, rng),
+    "two_runs": lambda s, rng: generators.gen_two_runs(
+        s.n, s.n // 2 if s.split is None else s.split, rng
+    ),
+    "lower_bound": lambda s, rng: generators.gen_lower_bound_instance(
+        s.n, s.n if s.k is None else s.k, rng
+    ),
+}
 
 
-def _gen(spec: ExperimentSpec, rng: np.random.Generator) -> list[int]:
-    kind = spec.generator
-    n = spec.n
-    if kind == "random":
-        vals = generators.gen_random(n, rng)
-    elif kind == "controlled_runs":
-        vals = generators.gen_controlled_runs(n, spec.runs if spec.runs else 2, rng)
-    elif kind == "controlled_inv":
-        vals = generators.gen_controlled_inv(n, spec.inv if spec.inv is not None else n, rng)
-    elif kind == "adversarial_run_plus_one":
-        vals = generators.gen_adversarial_run_plus_one(n, rng)
-    elif kind == "two_runs":
-        split = spec.split if spec.split is not None else n // 2
-        vals = generators.gen_two_runs(n, split, rng)
-    elif kind == "lower_bound":
-        vals = generators.gen_lower_bound_instance(n, spec.k if spec.k is not None else n, rng)
-    else:  # pragma: no cover - validate() rejects this earlier
-        raise ConfigError(f"unknown generator {kind!r}")
-    if spec.duplicates:
-        vals = generators.with_duplicates(vals)
-    return vals
+def generate(spec, rng: np.random.Generator) -> list[int]:
+    """The payloads of ``spec``'s sequence generator, collapsed to pairs of
+    ties when ``spec.duplicates`` is set.
+
+    Reads only ``generator``, ``n``, ``runs``, ``inv``, ``split``, ``k`` and
+    ``duplicates``, so the CLI passes its parsed flags.
+    """
+    vals = SEQUENCE_GENERATORS[spec.generator](spec, rng)
+    return generators.with_duplicates(vals) if spec.duplicates else vals
 
 
-GENERATORS = (
-    "random",
-    "controlled_runs",
-    "controlled_inv",
-    "adversarial_run_plus_one",
-    "two_runs",
-    "lower_bound",
-    "uniform_ranks",
-    "skewed_ranks",
-)
+def _uniform_ranks(spec, rng):
+    return rng.integers(0, spec.n + 1, size=spec.searches)
+
+
+def _skewed_ranks(spec, rng):
+    n, m = spec.n, spec.searches
+    center = int(rng.integers(0, n + 1))
+    offsets = rng.geometric(0.02, size=m) * rng.choice([-1, 1], size=m)
+    return np.clip(center + offsets, 0, n)
+
+
+# name -> call(spec, rng) -> the ranks in 0..n of ``spec.searches`` queries
+RANK_GENERATORS: dict[str, Callable] = {
+    "random": _uniform_ranks,
+    "uniform_ranks": _uniform_ranks,
+    "skewed_ranks": _skewed_ranks,
+}
+
+
+# ---------------------------------------------------------------------------
+# the oracle and the trial runners; each runner returns a JSON-safe row dict
 
 
 def _oracle_order(vals: ArrayLike) -> np.ndarray:
@@ -211,10 +238,6 @@ def _measured_disorder(vals: ArrayLike, order: Optional[np.ndarray] = None) -> t
     return runs, adaptive.count_permutation_inversions(order)
 
 
-# ---------------------------------------------------------------------------
-# per-trial runners; each returns a JSON-safe row dict
-
-
 def _base_row(ledger: ComparisonLedger, vals: ArrayLike) -> tuple[dict, np.ndarray]:
     """The row fields every ordering trial reports, and the canonical order.
 
@@ -236,118 +259,48 @@ def _base_row(ledger: ComparisonLedger, vals: ArrayLike) -> tuple[dict, np.ndarr
     return row, order
 
 
-def _trial_min_by_runs(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    res = adaptive.min_by_runs(ledger, ids)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = res == int(order[0])
-    return row
+def _ordering_runner(call, answer):
+    """generate -> session -> ``call`` -> base row -> check against the oracle.
 
+    ``call(ledger, ids, vals, extra, spec, rng)`` runs the algorithm on the
+    payload array ``vals`` and puts any row fields of its own into ``extra``.
+    ``answer`` names the oracle's answer in :data:`_ANSWERS` that the result
+    must equal, or is None when the call sets ``correct`` itself.
+    """
 
-def _trial_min_by_inv(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    info: dict = {}
-    res = adaptive.min_by_inv(ledger, ids, info=info)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = res == int(order[0])
-    row["I_size"] = info["I_size"]
-    return row
-
-
-def _trial_extract(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    ext = adaptive.extract_sorted_run(ledger, ids)
-    row, _ = _base_row(ledger, vals)
-    keys = [ledger.sort_key(e) for e in ext.R]
-    row["correct"] = keys == sorted(keys) and len(ext.R) + len(ext.I) == len(vals)
-    row["I_size"] = len(ext.I)
-    return row
-
-
-def _trial_median(algo):
     def run(spec, rng):
-        vals = _gen(spec, rng)
+        vals = generate(spec, rng)
         ledger, ids = new_session(vals)
-        res = algo(ledger, ids)
-        row, order = _base_row(ledger, vals)
-        row["correct"] = res == int(order[(len(vals) - 1) // 2])
+        arr = np.asarray(vals)
+        extra: dict = {}
+        res = call(ledger, ids, arr, extra, spec, rng)
+        row, order = _base_row(ledger, arr)
+        row.update(extra)
+        if answer is not None:
+            row["correct"] = res == _ANSWERS[answer](order, row)
         return row
 
     return run
 
 
-def _trial_sort_by_inv(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    out = adaptive.sort_by_inv(ledger, ids)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = out == order.tolist()
-    return row
+# expected answer -> the oracle's answer, from the canonical order and the row
+_ANSWERS: dict[str, Callable] = {
+    "least": lambda order, row: int(order[0]),
+    "median": lambda order, row: int(order[(row["n"] - 1) // 2]),
+    "k-th": lambda order, row: int(order[row["k"]]),
+    "sorted": lambda order, row: order.tolist(),
+}
 
 
-def _trial_network_sort(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    out = network_sort(ledger, ids)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = out == order.tolist()
-    row["depth_bound"] = network_depth_bound(len(vals))
-    return row
-
-
-def _trial_tournament(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    res = tournament_min(ledger, ids)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = res == int(order[0])
-    return row
-
-
-def _trial_mom_select(spec, rng):
-    vals = _gen(spec, rng)
-    k = spec.k if spec.k is not None else int(rng.integers(0, len(vals)))
-    ledger, ids = new_session(vals)
-    res = mom_select(ledger, ids, k)
-    row, order = _base_row(ledger, vals)
-    row["k"] = k
-    row["correct"] = res == int(order[k])
-    return row
-
-
-def _trial_small_median(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    res = small_median(ledger, ids)
-    row, order = _base_row(ledger, vals)
-    row["correct"] = res == int(order[(len(vals) - 1) // 2])
-    row["depth_bound"] = network_depth_bound(len(vals))
-    return row
-
-
-def _trial_median_two_runs(spec, rng):
-    vals = _gen(spec, rng)
-    ledger, ids = new_session(vals)
-    # a strict payload descent ends a run (equal payloads ascend by index)
-    arr = np.asarray(vals)
-    descents = np.flatnonzero(arr[1:] < arr[:-1]) + 1
-    if descents.size > 1:
-        raise ConfigError("median_two_runs needs a two-run input (use two_runs)")
-    boundary = int(descents[0]) if descents.size else len(vals)
-    res = adaptive.median_two_runs(ledger, ids[:boundary], ids[boundary:])
-    row, order = _base_row(ledger, arr)
-    row["correct"] = res == int(order[(len(vals) - 1) // 2])
-    return row
-
-
-def _trial_select_kth(spec, rng):
-    vals = _gen(spec, rng)
-    n = len(vals)
+def _draw_k(spec, rng, extra, n) -> int:
+    """The spec's k, else a uniform one in 0..n-1; reported as the row's k."""
     k = spec.k if spec.k is not None else int(rng.integers(0, n))
-    ledger, ids = new_session(vals)
+    extra["k"] = k
+    return k
+
+
+def _select_kth(ledger, ids, vals, extra, spec, rng):
+    k = _draw_k(spec, rng, extra, len(ids))
     info: dict = {}
     res = select_kth(
         ledger,
@@ -358,140 +311,136 @@ def _trial_select_kth(spec, rng):
         epsilon=spec.epsilon,
         info=info,
     )
-    row, order = _base_row(ledger, vals)
-    row["k"] = k
-    row["epsilon"] = spec.epsilon
-    row["correct"] = res == int(order[k])
-    row["branch"] = info["branch"]
-    row["C_size"] = info["candidate_size"]
-    row["Sprime_size"] = info["filtered_size"]
-    row["fragility_of_selected_pre"] = int(ledger.phase_counts(PHASE_PRE)[res])
-    row["fragility_of_selected_filter"] = int(ledger.phase_counts(PHASE_FILTER)[res])
-    row["fragility_of_selected_backend"] = int(ledger.phase_counts(PHASE_BACKEND)[res])
-    return row
+    extra.update(
+        epsilon=spec.epsilon,
+        branch=info["branch"],
+        C_size=info["candidate_size"],
+        Sprime_size=info["filtered_size"],
+        fragility_of_selected_pre=int(ledger.phase_counts(PHASE_PRE)[res]),
+        fragility_of_selected_filter=int(ledger.phase_counts(PHASE_FILTER)[res]),
+        fragility_of_selected_backend=int(ledger.phase_counts(PHASE_BACKEND)[res]),
+    )
+    return res
 
 
-def _search_ranks(spec, rng) -> np.ndarray:
-    n, m = spec.n, spec.searches
-    if spec.generator in ("random", "uniform_ranks"):
-        return rng.integers(0, n + 1, size=m)
-    if spec.generator == "skewed_ranks":
-        center = int(rng.integers(0, n + 1))
-        offsets = rng.geometric(0.02, size=m) * rng.choice([-1, 1], size=m)
-        return np.clip(center + offsets, 0, n)
-    raise ConfigError(f"generator {spec.generator!r} unsupported for searches")
+def _extract(ledger, ids, vals, extra, *_):
+    ext = adaptive.extract_sorted_run(ledger, ids)
+    keys = [ledger.sort_key(e) for e in ext.R]
+    extra["correct"] = keys == sorted(keys) and len(ext.R) + len(ext.I) == len(ids)
+    extra["I_size"] = len(ext.I)
 
 
-def _search_session(spec, rng):
-    n = spec.n
-    ranks = _search_ranks(spec, rng)
-    values = [2 * i for i in range(n)] + [2 * int(r) - 1 for r in ranks]
-    ledger, ids = new_session(values)
-    view = make_view(ids[:n])
-    return ledger, view, ids[n:], ranks
+def _median_two_runs(ledger, ids, vals, *_):
+    # a strict payload descent ends a run (equal payloads ascend by index)
+    descents = np.flatnonzero(vals[1:] < vals[:-1]) + 1
+    if descents.size > 1:
+        raise ConfigError("median_two_runs needs a two-run input (use two_runs)")
+    boundary = int(descents[0]) if descents.size else len(ids)
+    return adaptive.median_two_runs(ledger, ids[:boundary], ids[boundary:])
 
 
-def _trial_exp_search(spec, rng):
-    ledger, view, queries, ranks = _search_session(spec, rng)
-    max_violation = -math.inf
-    worst_k = None
-    ok = True
-    for q, k in zip(queries, ranks):
-        res = exp_search(ledger, view, q)
-        ok = ok and res.rank == int(k)
-        violation = int(ledger.counts[q]) - exp_search_query_budget(int(k))
-        if violation > max_violation:
-            max_violation, worst_k = violation, int(k)
-    arr = ledger.counts[: view.n]
-    return {
-        "n": view.n,
-        "searches": len(queries),
-        "correct": bool(ok),
-        "max_violation": int(max_violation),
-        "worst_k": worst_k,
-        "frag_max": int(arr.max()),
-        "frag_mean": float(arr.mean()),
-        "total": int(ledger.total),
-    }
+def _network_sort(ledger, ids, vals, extra, *_):
+    extra["depth_bound"] = network_depth_bound(len(ids))
+    return network_sort(ledger, ids)
 
 
-def budget_per_element(trace: SearchTrace) -> np.ndarray:
-    """Vectorized amortized budget ceil(log2 n_padded) + sum 112/d per y."""
-    n = trace.n
-    budget = np.full(n, float(ceil_log2(trace.n_padded)))
-    pos = np.arange(n)
-    for rec in trace.searches:
-        p = -1 if rec["result"] is None else rec["result"]
-        d = np.where(pos <= p, p - pos + 1, np.maximum(1, pos - p))
-        budget += AMORTIZED_BUDGET_PER_DISTANCE / d
-    return budget
+def _small_median(ledger, ids, vals, extra, *_):
+    extra["depth_bound"] = network_depth_bound(len(ids))
+    return small_median(ledger, ids)
 
 
-def _trial_offset_search(spec, rng):
-    ledger, view, queries, ranks = _search_session(spec, rng)
+# name -> (call, answer) of :func:`_ordering_runner`
+ORDERINGS: dict[str, tuple[Callable, Optional[str]]] = {
+    "select_kth": (_select_kth, "k-th"),
+    "min_by_runs": (lambda ledger, ids, *_: adaptive.min_by_runs(ledger, ids), "least"),
+    "min_by_inv": (
+        lambda ledger, ids, vals, extra, *_: adaptive.min_by_inv(ledger, ids, info=extra),
+        "least",
+    ),
+    "extract_sorted_run": (_extract, None),
+    "median_by_runs": (lambda ledger, ids, *_: adaptive.median_by_runs(ledger, ids), "median"),
+    "median_by_inv": (lambda ledger, ids, *_: adaptive.median_by_inv(ledger, ids), "median"),
+    "median_two_runs": (_median_two_runs, "median"),
+    "sort_by_inv": (lambda ledger, ids, *_: adaptive.sort_by_inv(ledger, ids), "sorted"),
+    "network_sort": (_network_sort, "sorted"),
+    "tournament_min": (lambda ledger, ids, *_: tournament_min(ledger, ids), "least"),
+    "mom_select": (
+        lambda ledger, ids, vals, extra, spec, rng: mom_select(
+            ledger, ids, _draw_k(spec, rng, extra, len(ids))
+        ),
+        "k-th",
+    ),
+    "small_median": (_small_median, "median"),
+}
+
+
+def _search_runner(search):
+    """A session of the n array payloads 0, 2, .., 2n-2 and one odd payload
+    per query rank.  ``search(ledger, view, queries, ranks, rng)`` answers the
+    queries in order and returns the ranks it found and its own row fields."""
+
+    def run(spec, rng):
+        n = spec.n
+        ranks = RANK_GENERATORS[spec.generator](spec, rng)
+        values = [2 * i for i in range(n)] + [2 * int(r) - 1 for r in ranks]
+        ledger, ids = new_session(values)
+        found, row = search(ledger, make_view(ids[:n]), ids[n:], ranks, rng)
+        arr = ledger.counts[:n]
+        row.update(
+            n=n,
+            searches=len(ranks),
+            correct=found == ranks.tolist(),
+            frag_max=int(arr.max()),
+            frag_mean=float(arr.mean()),
+            total=int(ledger.total),
+        )
+        return row
+
+    return run
+
+
+def _exp_search(ledger, view, queries, ranks, rng):
+    found = [exp_search(ledger, view, q).rank for q in queries]
+    # a query takes part only in its own search
+    violations = [
+        int(ledger.counts[q]) - exp_search_query_budget(int(k)) for q, k in zip(queries, ranks)
+    ]
+    worst = int(np.argmax(violations))
+    return found, {"max_violation": violations[worst], "worst_k": int(ranks[worst])}
+
+
+def _offset_search(ledger, view, queries, ranks, rng):
     structure = build_offset_structure(view)
     trace = SearchTrace(n=view.n, n_padded=structure.n_padded)
-    ok = True
-    for q, k in zip(queries, ranks):
-        res = offset_search(ledger, structure, q, trace=trace)
-        ok = ok and res.rank == int(k)
-    counts = np.zeros(view.n)
-    for y, c in trace.counts.items():
-        counts[y] = c
-    slack = budget_per_element(trace) - counts
+    found = [offset_search(ledger, structure, q, trace=trace).rank for q in queries]
+    slack = budget_per_element(trace) - ledger.counts[: view.n]
     rank_repeats = max(
         (max((rec["ranks"].count(r) for r in set(rec["ranks"])), default=0)
          for rec in trace.searches if rec.get("ranks")),
         default=0,
     )
-    arr = ledger.counts[: view.n]
-    return {
-        "n": view.n,
-        "searches": len(queries),
-        "correct": bool(ok),
+    return found, {
         "min_slack": float(slack.min()),
         "violations": int((slack < 0).sum()),
         "max_rank_repeat": int(rank_repeats),
-        "frag_max": int(arr.max()),
-        "frag_mean": float(arr.mean()),
-        "total": int(ledger.total),
     }
 
 
-def _trial_randomized_search(spec, rng):
-    ledger, view, queries, ranks = _search_session(spec, rng)
-    ok = True
-    for q, k in zip(queries, ranks):
-        res = randomized_search(ledger, view, q, rng)
-        ok = ok and res.rank == int(k)
-    arr = ledger.counts[: view.n]
-    return {
-        "n": view.n,
-        "searches": len(queries),
-        "correct": bool(ok),
-        "frag_max": int(arr.max()),
-        "frag_mean": float(arr.mean()),
-        "mean_budget": calibration.randomized_mean_budget(view.n, len(queries)),
-        "total": int(ledger.total),
-    }
+def _randomized_search(ledger, view, queries, ranks, rng):
+    found = [randomized_search(ledger, view, q, rng).rank for q in queries]
+    return found, {"mean_budget": calibration.randomized_mean_budget(view.n, len(queries))}
 
 
+SEARCHES: dict[str, Callable] = {
+    "exp_search": _search_runner(_exp_search),
+    "offset_search": _search_runner(_offset_search),
+    "randomized_search": _search_runner(_randomized_search),
+}
+
+# name -> runner(spec, rng) -> row
 ALGORITHMS: dict[str, Callable] = {
-    "exp_search": _trial_exp_search,
-    "offset_search": _trial_offset_search,
-    "randomized_search": _trial_randomized_search,
-    "select_kth": _trial_select_kth,
-    "min_by_runs": _trial_min_by_runs,
-    "min_by_inv": _trial_min_by_inv,
-    "extract_sorted_run": _trial_extract,
-    "median_by_runs": _trial_median(adaptive.median_by_runs),
-    "median_by_inv": _trial_median(adaptive.median_by_inv),
-    "median_two_runs": _trial_median_two_runs,
-    "sort_by_inv": _trial_sort_by_inv,
-    "network_sort": _trial_network_sort,
-    "tournament_min": _trial_tournament,
-    "mom_select": _trial_mom_select,
-    "small_median": _trial_small_median,
+    **SEARCHES,
+    **{name: _ordering_runner(call, answer) for name, (call, answer) in ORDERINGS.items()},
 }
 
 
@@ -573,105 +522,11 @@ def _verdict(bound: str, trial, passed: bool, slack: float) -> dict:
     return {"bound": bound, "trial": trial, "passed": bool(passed), "slack": float(slack)}
 
 
-def _check_exp(report):
-    return [
-        _verdict("query-fragility-budget", row["trial"], row["max_violation"] <= 0, -row["max_violation"])
-        for row in report.rows
-    ]
-
-
-def _check_offset(report):
-    out = []
-    for row in report.rows:
-        out.append(_verdict("amortized-112-over-d", row["trial"], row["min_slack"] >= 0, row["min_slack"]))
-        out.append(_verdict("rank-recursions-at-most-7", row["trial"], row["max_rank_repeat"] <= 7, 7 - row["max_rank_repeat"]))
-    return out
-
-
-def _check_randomized(report):
-    return [
-        _verdict("mean-fragility-budget", row["trial"], row["frag_mean"] <= row["mean_budget"], row["mean_budget"] - row["frag_mean"])
-        for row in report.rows
-    ]
-
-
-def _check_min_runs(report):
-    out = []
-    for row in report.rows:
-        bound = 2 + ceil_log2(max(1, row["runs"]))
-        out.append(_verdict("min-runs-fragility", row["trial"], row["frag_max"] <= bound, bound - row["frag_max"]))
-    return out
-
-
-def _check_extract(report):
-    out = []
-    for row in report.rows:
-        out.append(_verdict("extract-fragility-4", row["trial"], row["frag_max"] <= 4, 4 - row["frag_max"]))
-        out.append(_verdict("extract-I-at-most-2Inv", row["trial"], row["I_size"] <= 2 * row["inv"], 2 * row["inv"] - row["I_size"]))
-    return out
-
-
-def _check_min_inv(report):
-    out = []
-    for row in report.rows:
-        bound = 4 + ceil_log2(row["I_size"] + 1) + 1
-        out.append(_verdict("min-inv-fragility", row["trial"], row["frag_max"] <= bound, bound - row["frag_max"]))
-    return out
-
-
 def _check_correct(report):
     return [
         _verdict("matches-oracle", row["trial"], bool(row["correct"]), 0.0 if row["correct"] else -1.0)
         for row in report.rows
     ]
-
-
-def _check_median_runs(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        env = calibration.median_runs_envelope(row["runs"], row["n"])
-        out.append(_verdict("median-runs-envelope", row["trial"], row["frag_max"] <= env, env - row["frag_max"]))
-    return out
-
-
-def _check_median_inv(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        env = calibration.median_inv_envelope(row["inv"])
-        out.append(_verdict("median-inv-envelope", row["trial"], row["frag_max"] <= env, env - row["frag_max"]))
-    return out
-
-
-def _check_sort_inv(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        env = calibration.sort_inv_envelope(row["inv"])
-        out.append(_verdict("sort-inv-envelope", row["trial"], row["frag_max"] <= env, env - row["frag_max"]))
-    return out
-
-
-def _check_network(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        bound = row["depth_bound"]
-        out.append(_verdict("network-depth", row["trial"], row["frag_max"] <= bound, bound - row["frag_max"]))
-    return out
-
-
-def _check_tournament(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        bound = ceil_log2(row["n"])
-        out.append(_verdict("tournament-rounds", row["trial"], row["frag_max"] <= bound, bound - row["frag_max"]))
-    return out
-
-
-def _check_two_run_median(report):
-    out = _check_correct(report)
-    for row in report.rows:
-        bound = calibration.MEDIAN_TWO_RUNS_MAX
-        out.append(_verdict("two-run-median-constant", row["trial"], row["frag_max"] <= bound, bound - row["frag_max"]))
-    return out
 
 
 def _check_select(report):
@@ -687,19 +542,72 @@ def _check_select(report):
     return out
 
 
+def _row_bounds(*bounds, oracle: bool = False) -> Callable:
+    """Checker for per-row bounds ``(name, value(row), limit(row))``.
+
+    A bound passes when value <= limit, with slack limit - value.  With
+    ``oracle`` the ``matches-oracle`` verdicts of every row come first.
+    """
+
+    def check(report):
+        out = _check_correct(report) if oracle else []
+        for row in report.rows:
+            for name, value, limit in bounds:
+                v, lim = value(row), limit(row)
+                out.append(_verdict(name, row["trial"], v <= lim, lim - v))
+        return out
+
+    return check
+
+
+_frag_max = itemgetter("frag_max")
+
 BOUND_SETS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "exp-search-rank": (("exp_search",), _check_exp),
-    "offset-amortized": (("offset_search",), _check_offset),
-    "randomized-mean": (("randomized_search",), _check_randomized),
-    "min-runs": (("min_by_runs",), _check_min_runs),
-    "extract-structure": (("extract_sorted_run",), _check_extract),
-    "min-inv": (("min_by_inv",), _check_min_inv),
-    "median-runs-envelope": (("median_by_runs",), _check_median_runs),
-    "median-inv-envelope": (("median_by_inv",), _check_median_inv),
-    "sort-inv-envelope": (("sort_by_inv",), _check_sort_inv),
-    "network-depth": (("network_sort", "small_median"), _check_network),
-    "tournament": (("tournament_min",), _check_tournament),
-    "two-run-median": (("median_two_runs",), _check_two_run_median),
+    "exp-search-rank": (("exp_search",), _row_bounds(
+        ("query-fragility-budget", itemgetter("max_violation"), lambda r: 0),
+    )),
+    "offset-amortized": (("offset_search",), _row_bounds(
+        ("amortized-112-over-d", lambda r: 0, itemgetter("min_slack")),
+        ("rank-recursions-at-most-7", itemgetter("max_rank_repeat"), lambda r: 7),
+    )),
+    "randomized-mean": (("randomized_search",), _row_bounds(
+        ("mean-fragility-budget", itemgetter("frag_mean"), itemgetter("mean_budget")),
+    )),
+    "min-runs": (("min_by_runs",), _row_bounds(
+        ("min-runs-fragility", _frag_max, lambda r: 2 + ceil_log2(max(1, r["runs"]))),
+    )),
+    "extract-structure": (("extract_sorted_run",), _row_bounds(
+        ("extract-fragility-4", _frag_max, lambda r: 4),
+        ("extract-I-at-most-2Inv", itemgetter("I_size"), lambda r: 2 * r["inv"]),
+    )),
+    "min-inv": (("min_by_inv",), _row_bounds(
+        ("min-inv-fragility", _frag_max, lambda r: 4 + ceil_log2(r["I_size"] + 1) + 1),
+    )),
+    "median-runs-envelope": (("median_by_runs",), _row_bounds(
+        ("median-runs-envelope", _frag_max,
+         lambda r: calibration.median_runs_envelope(r["runs"], r["n"])),
+        oracle=True,
+    )),
+    "median-inv-envelope": (("median_by_inv",), _row_bounds(
+        ("median-inv-envelope", _frag_max, lambda r: calibration.median_inv_envelope(r["inv"])),
+        oracle=True,
+    )),
+    "sort-inv-envelope": (("sort_by_inv",), _row_bounds(
+        ("sort-inv-envelope", _frag_max, lambda r: calibration.sort_inv_envelope(r["inv"])),
+        oracle=True,
+    )),
+    "network-depth": (("network_sort", "small_median"), _row_bounds(
+        ("network-depth", _frag_max, itemgetter("depth_bound")),
+        oracle=True,
+    )),
+    "tournament": (("tournament_min",), _row_bounds(
+        ("tournament-rounds", _frag_max, lambda r: ceil_log2(r["n"])),
+        oracle=True,
+    )),
+    "two-run-median": (("median_two_runs",), _row_bounds(
+        ("two-run-median-constant", _frag_max, lambda r: calibration.MEDIAN_TWO_RUNS_MAX),
+        oracle=True,
+    )),
     "select-expectations": (("select_kth",), _check_select),
     "oracle-agreement": (tuple(ALGORITHMS), _check_correct),
 }

@@ -317,12 +317,24 @@ def distance_to(result: PredecessorResult, y_pos: int) -> int:
     return max(1, y_pos - p)
 
 
+def budget_per_element(trace: SearchTrace) -> np.ndarray:
+    """Amortized budget of every array position: ceil(log2 n_padded) plus,
+    over the searches, 112 / distance_to(result, position)."""
+    n = trace.n
+    budget = np.full(n, float(ceil_log2(trace.n_padded)))
+    pos = np.arange(n)
+    for rec in trace.searches:
+        p = -1 if rec["result"] is None else rec["result"]
+        d = np.where(pos <= p, p - pos + 1, np.maximum(1, pos - p))
+        budget += AMORTIZED_BUDGET_PER_DISTANCE / d
+    return budget
+
+
 def amortized_check(trace: SearchTrace, y_pos: int) -> AmortizedVerdict:
     """Check count(y) <= ceil(log2 n_padded) + sum over searches of 112/d."""
-    budget = float(ceil_log2(trace.n_padded))
-    for rec in trace.searches:
-        result = PredecessorResult(index=rec["result"])
-        budget += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(result, y_pos)
+    if not 0 <= y_pos < trace.n:
+        raise UnknownElement(f"position {y_pos} not in 0..{trace.n - 1}")
+    budget = float(budget_per_element(trace)[y_pos])
     count = trace.counts.get(y_pos, 0)
     return AmortizedVerdict(passed=count <= budget, slack=budget - count, count=count, budget=budget)
 

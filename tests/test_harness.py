@@ -1,5 +1,7 @@
 """Generators, experiment runner determinism, bound verification, CLI."""
 
+import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +14,7 @@ from fragility.errors import ConfigError, InfeasibleTarget
 from fragility.harness import (
     ALGORITHMS,
     BOUND_SETS,
+    SEQUENCE_GENERATORS,
     ExperimentSpec,
     Report,
     aggregate_reports,
@@ -150,6 +153,15 @@ def test_spec_validation_errors():
         ExperimentSpec(algorithm="sort_by_inv", n=4, inv=7).validate()
 
 
+@pytest.mark.parametrize(
+    "algorithm,generator", [("tournament_min", "uniform_ranks"), ("exp_search", "controlled_runs")]
+)
+def test_spec_rejects_a_generator_that_does_not_fit_the_algorithm(algorithm, generator):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentSpec.from_mapping({"algorithm": algorithm, "generator": generator})
+    assert algorithm in str(exc.value) and generator in str(exc.value)
+
+
 def test_spec_from_mapping_coerces_strings():
     spec = ExperimentSpec.from_mapping(
         {"algorithm": "network_sort", "n": "64", "trials": "3", "epsilon": "0.5",
@@ -192,6 +204,36 @@ def test_run_experiment_is_byte_identical():
     assert len(payload["rows"]) == 5
     assert payload["aggregates"]["correct_fraction"] == 1.0
     assert [row["trial"] for row in payload["rows"]] == list(range(5))
+
+
+def _pinned_specs():
+    """The 30 n=100 specs: every algorithm, with and without duplicates."""
+    for algo in ALGORITHMS:
+        if algo in ("exp_search", "offset_search", "randomized_search"):
+            extra = {"generator": "uniform_ranks", "searches": 100}
+        else:
+            extra = {"generator": "two_runs" if algo == "median_two_runs" else "random"}
+        for dup in (False, True):
+            name = algo + ("+dup" if dup else "")
+            yield name, ExperimentSpec(algorithm=algo, n=100, trials=10, seed=1, duplicates=dup, **extra)
+
+
+def test_report_and_verdict_digests_are_pinned():
+    """Report bytes and verdicts (slack by repr) of the 30 specs, as of the
+    bound and runner tables' introduction; a changed count shows up here."""
+    lines, verdicts = [], []
+    for name, spec in _pinned_specs():
+        report = run_experiment(spec)
+        lines.append(f"{name} {hashlib.sha256(report.to_json().encode()).hexdigest()}")
+        for bound_set in default_bound_sets(spec.algorithm):
+            for v in verify(report, bound_set)[1]:
+                verdicts.append(
+                    f"{name} {bound_set} {v['bound']} {v['trial']} {v['passed']} {v['slack']!r}"
+                )
+    digest = hashlib.sha256(("\n".join(sorted(lines)) + "\n").encode()).hexdigest()
+    assert digest == "1a2f8bf4d26bbc56600d7cda60a14dae77b0ebdc8558880fe484394e6bedd67e"
+    digest = hashlib.sha256(("\n".join(verdicts) + "\n").encode()).hexdigest()
+    assert digest == "802264578ee6f911b8460d7acddc5809dc3194a953c543364a64f095eb0ad2d1"
 
 
 def test_report_round_trip_and_csv():
@@ -287,6 +329,24 @@ def test_cli_generate_writes_values(tmp_path, capsys):
     assert _measured_disorder(vals)[0] == 4
 
 
+def test_cli_generate_choices_are_the_generator_registry():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flag = next(a for a in sub.choices["generate"]._actions if a.dest == "generator")
+    assert list(flag.choices) == list(SEQUENCE_GENERATORS)
+
+
+def test_cli_generate_output_is_pinned(capsys):
+    outputs = []
+    for generator in ("random", "controlled_runs", "controlled_inv",
+                      "adversarial_run_plus_one", "two_runs", "lower_bound"):
+        for extra in ([], ["--duplicates"], ["--n", "77", "--runs", "5", "--inv", "40",
+                                              "--split", "9", "--k", "30", "--seed", "3"]):
+            assert cli.main(["generate", "--generator", generator, "--n", "50", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "4a7debba2525a384ec75b39971578a69ea4fe398257cd377c91bf21f5ad5e23f"
+
+
 def test_cli_run_verify_round_trip(tmp_path):
     report_path = tmp_path / "report.json"
     rc = cli.main(["run", "--algo", "min_by_runs", "--generator", "controlled_runs",
@@ -318,6 +378,15 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["run"]) == 2  # neither --spec nor --algo
     assert cli.main(["verify", "--report", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("algorithm", ["exp_search", "offset_search", "randomized_search"])
+@pytest.mark.parametrize("searches", ["0", "-1"])
+def test_cli_run_rejects_fewer_than_one_search(algorithm, searches, capsys):
+    argv = ["run", "--algo", algorithm, "--generator", "uniform_ranks", "--n", "16",
+            "--trials", "1", "--searches", searches]
+    assert cli.main(argv) == 2
+    assert "searches" in capsys.readouterr().err
 
 
 def test_cli_run_csv_format(tmp_path):

@@ -15,6 +15,7 @@ from fragility.search import (
     PredecessorResult,
     SearchTrace,
     amortized_check,
+    budget_per_element,
     build_offset_structure,
     distance_to,
     exp_search,
@@ -182,6 +183,32 @@ def test_amortized_check_agrees_with_trace_counts():
         assert verdict.passed, (pos, verdict)
         assert verdict.count == trace.counts.get(pos, 0)
         assert math.isclose(verdict.slack, verdict.budget - verdict.count)
+
+
+def test_budget_per_element_equals_the_per_position_sum():
+    """The vectorized budget is bit-identical to summing 112/d search by search."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 301))
+        ranks = rng.integers(0, n + 1, size=int(rng.integers(0, 401)))
+        ledger, view, qids = _session(
+            [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
+        )
+        s = build_offset_structure(view)
+        trace = SearchTrace(n=n, n_padded=s.n_padded)
+        for q in qids:
+            offset_search(ledger, s, q, trace=trace)
+        budget = budget_per_element(trace)
+        for pos in {0, n - 1, *rng.integers(0, n, size=8).tolist()}:
+            expected = float(ceil_log2(s.n_padded))
+            for rec in trace.searches:
+                res = PredecessorResult(index=rec["result"])
+                expected += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(res, pos)
+            assert budget[pos] == expected, (n, pos)
+            assert amortized_check(trace, pos).budget == expected
+        for pos in (-1, n):
+            with pytest.raises(UnknownElement):
+                amortized_check(trace, pos)
 
 
 @settings(max_examples=60, deadline=None)

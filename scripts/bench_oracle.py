@@ -2,9 +2,10 @@
 """Time the harness's uncounted oracle: the canonical order plus (Runs, Inv).
 
 Each size times ``_oracle_order(vals)`` followed by
-``_measured_disorder(vals, order)`` on a ``gen_random`` permutation held as a
-Python list, as a trial's generator returns it.  Prints one JSON object of
-median and best microseconds per size.  To compare two checkouts, run it
+``_measured_disorder(vals, order)`` on the int64 array that ``gen_random``
+returns, as a trial's oracle receives it; a checkout whose generator returns
+a Python list is timed on that list.  Prints one JSON object of median and
+best microseconds per size.  To compare two checkouts, run it
 alternately with each one's ``src`` directory:
 
     python3 scripts/bench_oracle.py --src src

@@ -15,10 +15,12 @@ import numpy as np
 from .errors import InfeasibleTarget
 
 
-def gen_random(n: int, rng: np.random.Generator) -> list[int]:
+def gen_random(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform permutation of 0..n-1 as an int64 array: a session copies an
+    array without a list round trip."""
     if n < 1:
         raise InfeasibleTarget("n must be >= 1")
-    return rng.permutation(n).tolist()
+    return rng.permutation(n)
 
 
 def gen_controlled_runs(n: int, runs: int, rng: np.random.Generator) -> list[int]:
@@ -130,4 +132,4 @@ def gen_two_runs(n: int, split: int, rng: np.random.Generator) -> list[int]:
 
 def with_duplicates(values: Sequence[int]) -> list[int]:
     """Collapse value pairs to introduce controlled ties."""
-    return [int(v) // 2 for v in values]
+    return (np.asarray(values) // 2).tolist()

@@ -88,6 +88,10 @@ class ExperimentSpec:
             )
         if self.algorithm in SEARCHES and self.searches < 1:
             raise ConfigError(f"searches={self.searches} must be >= 1 for {self.algorithm!r}")
+        # select_kth samples only when k <= n^epsilon, so a negative or NaN
+        # epsilon would silently send every trial to the direct branch
+        if not 0 < self.epsilon <= 1:
+            raise ConfigError(f"epsilon={self.epsilon} must be in (0, 1]")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.runs is not None and not (1 <= self.runs <= self.n):
@@ -161,9 +165,10 @@ SEQUENCE_GENERATORS: dict[str, Callable] = {
 }
 
 
-def generate(spec, rng: np.random.Generator) -> list[int]:
+def generate(spec, rng: np.random.Generator) -> list[int] | np.ndarray:
     """The payloads of ``spec``'s sequence generator, collapsed to pairs of
-    ties when ``spec.duplicates`` is set.
+    ties when ``spec.duplicates`` is set: a list, or the array that
+    ``gen_random`` returns.
 
     Reads only ``generator``, ``n``, ``runs``, ``inv``, ``split``, ``k`` and
     ``duplicates``, so the CLI passes its parsed flags.
@@ -304,7 +309,7 @@ def _select_kth(ledger, ids, vals, extra, spec, rng):
     info: dict = {}
     res = select_kth(
         ledger,
-        ids,
+        np.arange(len(ids)),  # the ids as an index array
         k,
         rng,
         backend=BACKENDS[spec.backend],

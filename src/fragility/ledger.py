@@ -169,7 +169,8 @@ class ComparisonLedger:
             np.add.at(pc, b_indices, 1)
         va = self._vnum[a_indices]
         vb = self._vnum[b_indices]
-        return np.sign(np.where(va < vb, -1, np.where(vb < va, 1, 0))).astype(np.int8)
+        # unordered pairs (NaN) are neither greater nor less: sign 0, as in compare
+        return (va > vb).astype(np.int8) - (va < vb)
 
     # -- audit mode -----------------------------------------------------
 

@@ -109,7 +109,7 @@ def select_kth(
     epsilon: float = 0.01,
     info: Optional[dict] = None,
 ) -> int:
-    """Return the rank-k element of xs.
+    """Return the rank-k element of xs, a list of ids or an index array.
 
     The sampled branch runs when k <= n^epsilon and the sample size
     s = floor(n/max(k,1)) exceeds k: a uniform sample of s elements is
@@ -117,27 +117,28 @@ def select_kth(
     backend.  A sample of more than k elements puts z at input rank >= k, so
     {x <= z} always holds the rank-k element; a smaller sample could not
     promise that (roughly k >= sqrt(n), reachable only for epsilon > 1/2), so
-    every other case runs the backend on the whole input.  Comparison counts
-    are tagged with pre-filter and backend phases.  If `info` is given it is
-    filled with the branch taken and intermediate set sizes.
+    every other case runs the backend on the whole input.  The pool stays an
+    index array until the backend, which gets a list; the result is an
+    ``int`` on every branch.  Comparison counts are tagged with pre-filter and
+    backend phases.  If `info` is given it is filled with the branch taken and
+    intermediate set sizes.
     """
-    pool = list(xs)
+    pool = np.asarray(xs, dtype=np.intp)
     n = len(pool)
     if not (0 <= k < n):
         raise RankOutOfRange(f"k={k} outside [0, {n})")
     if n == 1:
         if info is not None:
             info.update(branch="trivial", sample_size=0, candidate_size=0, filtered_size=1)
-        return pool[0]
+        return int(pool[0])
     size = n // max(k, 1)
     if k <= n**epsilon and size > k:
-        pool_idx = np.array(pool, dtype=np.intp)
         with ledger.in_phase(PHASE_PRE):
             picks = rng.permutation(n)[:size]
-            cand = reset(ledger, pool_idx[picks], k, rng)
+            cand = reset(ledger, pool[picks], k, rng)
             z = mom_select(ledger, cand.ids, k)
         with ledger.in_phase(PHASE_FILTER):
-            filtered = _filter_at_most(ledger, pool_idx, z).tolist()
+            filtered = _filter_at_most(ledger, pool, z).tolist()
         if info is not None:
             info.update(
                 branch="sampled",
@@ -150,7 +151,7 @@ def select_kth(
     if info is not None:
         info.update(branch="direct", sample_size=0, candidate_size=0, filtered_size=n)
     with ledger.in_phase(PHASE_BACKEND):
-        return backend(ledger, pool, k)
+        return backend(ledger, pool.tolist(), k)
 
 
 @dataclass

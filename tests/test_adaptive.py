@@ -268,3 +268,12 @@ def test_sort_by_inv_controlled_fragility_grows_with_inv():
         assert sort_by_inv(ledger, ids) == audit_sorted(ledger, ids)
         maxima.append(int(ledger.counts.max()))
     assert maxima == sorted(maxima)
+
+
+@pytest.mark.parametrize("n", [2**17, 2**17 + 1])
+def test_count_permutation_inversions_at_two_to_the_17(n):
+    """Rows of 2^17 and 2^18 tags, where a row's sum of positions passes int32."""
+    assert count_permutation_inversions(np.arange(n)) == 0
+    assert count_permutation_inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
+    perm = np.random.default_rng(n).permutation(n)
+    assert count_permutation_inversions(perm) == _merge_count(perm.tolist())[1]

@@ -25,6 +25,7 @@ from fragility.harness import (
     _measured_disorder,
     _oracle_order,
 )
+from fragility.ledger import new_session
 
 # ---------------------------------------------------------------------------
 # generators
@@ -126,6 +127,24 @@ def test_generator_infeasible_targets():
         generators.gen_adversarial_run_plus_one(1, rng)
     with pytest.raises(InfeasibleTarget):
         generators.gen_random(0, rng)
+
+
+def test_gen_random_returns_an_array_that_sessions_take_as_is():
+    vals = generators.gen_random(1000, np.random.default_rng(5))
+    assert isinstance(vals, np.ndarray) and vals.dtype == np.int64
+    assert sorted(vals.tolist()) == list(range(1000))
+    from_array, ids_a = new_session(vals)
+    from_list, ids_l = new_session(vals.tolist())
+    assert ids_a == ids_l and all(type(e) is int for e in ids_a)
+    assert from_array._values == from_list._values
+    assert all(type(v) is int for v in from_array._values)
+    assert from_array._vnum.dtype == from_list._vnum.dtype
+    assert from_array._vnum.tolist() == from_list._vnum.tolist()
+    a = np.arange(999, dtype=np.intp)
+    signs = from_array.compare_batch(a, a + 1)
+    assert signs.tolist() == from_list.compare_batch(a, a + 1).tolist()
+    assert from_array.counts.tolist() == from_list.counts.tolist()
+    assert from_array.total == from_list.total
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +406,15 @@ def test_cli_run_rejects_fewer_than_one_search(algorithm, searches, capsys):
             "--trials", "1", "--searches", searches]
     assert cli.main(argv) == 2
     assert "searches" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0", "2", "nan", "inf", "-inf"])
+def test_cli_run_rejects_epsilon_outside_zero_to_one(epsilon, capsys):
+    argv = ["run", "--algo", "select_kth", "--n", "1000", "--trials", "1", f"--epsilon={epsilon}"]
+    assert cli.main(argv) == 2
+    assert "epsilon" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="epsilon"):
+        ExperimentSpec.from_mapping({"algorithm": "select_kth", "epsilon": epsilon})
 
 
 def test_cli_run_csv_format(tmp_path):

@@ -275,3 +275,32 @@ def test_session_from_object_array_falls_back():
     ledger, _ = new_session(values)
     assert ledger._vnum is None
     assert ledger.compare_batch(np.array([0, 1]), np.array([2, 2])).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([3, -7, 3, 2**40, -(2**40), 0, 3], dtype=np.int64),
+        np.array([200, 0, 200, 17, 255, 17], dtype=np.uint8),
+        np.array([0.5, np.nan, -1.5, 0.5, np.inf, np.nan, -np.inf, 0.0, -0.0]),
+        np.array(["pear", "apple", "fig", "apple", "", "pear"]),
+    ],
+    ids=["int64", "uint8", "float-nan", "str"],
+)
+def test_compare_batch_signs_match_compare_per_dtype(values):
+    """Every ordered pair, ties and NaN included, as one batch and per pair."""
+    n = values.size
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    l1, _ = new_session(values)
+    l2, ids2 = new_session(values)
+    assert l1._vnum is not None and l1._vnum.dtype == values.dtype
+    a = np.array([i for i, _ in pairs], dtype=np.intp)
+    b = np.array([j for _, j in pairs], dtype=np.intp)
+    signs = l1.compare_batch(a, b)
+    expected = [int(l2.compare(ids2[i], ids2[j])) for i, j in pairs]
+    assert signs.dtype == np.int8
+    assert signs.tolist() == expected
+    assert 0 in expected  # ties (and NaN pairs) give 0
+    assert l1.counts.tolist() == l2.counts.tolist()
+    assert l1.total == l2.total == len(pairs)
+    assert int(l1.counts.sum()) == 2 * l1.total

@@ -173,6 +173,28 @@ def test_select_kth_with_duplicates():
         assert res == audit_sorted(ledger, ids)[k]
 
 
+@pytest.mark.parametrize("backend", [backend_network, backend_mom])
+@pytest.mark.parametrize(
+    "n, k, epsilon, branch",
+    [(1, 0, 0.01, "trivial"), (4096, 2, 0.25, "sampled"), (300, 150, 0.01, "direct")],
+)
+def test_select_kth_takes_an_index_array_pool(backend, n, k, epsilon, branch):
+    """A list of ids and np.arange(n) give the same result and the same counts."""
+    values = np.random.default_rng(n).permutation(n)
+    runs = []
+    for pool in (list(range(n)), np.arange(n)):
+        ledger, _ = new_session(values)
+        info = {}
+        res = select_kth(ledger, pool, k, np.random.default_rng(7), backend=backend,
+                         epsilon=epsilon, info=info)
+        assert type(res) is int
+        assert info["branch"] == branch
+        assert ledger.payload(res) == k
+        phases = [ledger.phase_counts(p).tolist() for p in (PHASE_PRE, PHASE_FILTER, PHASE_BACKEND)]
+        runs.append((res, info, ledger.counts.tolist(), ledger.total, phases))
+    assert runs[0] == runs[1]
+
+
 def test_selected_fragility_report_needs_enough_trials():
     rows = [{"fragility_of_selected_pre": 1, "fragility_of_selected_backend": 2}] * 99
     with pytest.raises(ConfigError):

@@ -3,36 +3,36 @@
 
 Run this after algorithmic changes; if a suggested constant exceeds the frozen
 one, re-freeze deliberately (the constants are inputs to the verifiers, never
-fitted at test time).
+fitted at test time).  Each measured constant is frozen * frag / envelope, the
+constant at which calibration's own envelope would just hold.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import sys
 
 import numpy as np
 
 from fragility import calibration
+from fragility.errors import FragilityError
 from fragility.harness import ExperimentSpec, run_experiment
-from fragility.primitives import ceil_log2
 
 
 def measure_median_runs(n: int, seeds: int) -> float:
     worst = 0.0
-    loglog = math.log2(max(2, ceil_log2(n)))
     for runs in (4, 16, 64):
         spec = ExperimentSpec(
             algorithm="median_by_runs", generator="controlled_runs",
             n=n, runs=runs, trials=seeds, seed=7,
         )
         rep = run_experiment(spec)
-        denom = math.log2(max(2, runs)) + loglog**2
-        worst = max(worst, rep.aggregates["frag_max"] / denom)
+        envelope = calibration.median_runs_envelope(runs, n)
+        worst = max(worst, calibration.C_MED * rep.aggregates["frag_max"] / envelope)
     return worst
 
 
-def measure_inv(algorithm: str, n: int, seeds: int) -> float:
+def measure_inv(algorithm: str, frozen: float, envelope, n: int, seeds: int) -> float:
     worst = 0.0
     for inv in (2**4, 2**8, 2**12):
         spec = ExperimentSpec(
@@ -40,7 +40,7 @@ def measure_inv(algorithm: str, n: int, seeds: int) -> float:
             n=n, inv=inv, trials=seeds, seed=7,
         )
         rep = run_experiment(spec)
-        worst = max(worst, rep.aggregates["frag_max"] / math.log2(inv + 2) ** 2)
+        worst = max(worst, frozen * rep.aggregates["frag_max"] / envelope(inv))
     return worst
 
 
@@ -50,7 +50,10 @@ def measure_randomized(n: int, searches: int, seeds: int) -> float:
         n=n, searches=searches, trials=seeds, seed=7,
     )
     rep = run_experiment(spec)
-    return max(row["frag_mean"] for row in rep.rows) / (searches * math.log2(n) / n)
+    frag_mean = max(row["frag_mean"] for row in rep.rows)
+    return calibration.RANDOMIZED_MEAN_FACTOR * frag_mean / calibration.randomized_mean_budget(
+        n, searches
+    )
 
 
 def measure_two_run_median(n: int, seeds: int) -> int:
@@ -66,7 +69,7 @@ def measure_two_run_median(n: int, seeds: int) -> int:
     return worst
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=2**15)
     parser.add_argument("--seeds", type=int, default=20)
@@ -74,8 +77,18 @@ def main() -> None:
 
     rows = [
         ("C_MED", calibration.C_MED, measure_median_runs(args.n, args.seeds)),
-        ("C_MI", calibration.C_MI, measure_inv("median_by_inv", args.n, args.seeds)),
-        ("C_S", calibration.C_S, measure_inv("sort_by_inv", args.n, args.seeds)),
+        (
+            "C_MI",
+            calibration.C_MI,
+            measure_inv("median_by_inv", calibration.C_MI, calibration.median_inv_envelope,
+                        args.n, args.seeds),
+        ),
+        (
+            "C_S",
+            calibration.C_S,
+            measure_inv("sort_by_inv", calibration.C_S, calibration.sort_inv_envelope,
+                        args.n, args.seeds),
+        ),
         (
             "RANDOMIZED_MEAN_FACTOR",
             calibration.RANDOMIZED_MEAN_FACTOR,
@@ -91,7 +104,13 @@ def main() -> None:
     for name, frozen, measured in rows:
         ok = measured <= frozen
         print(f"{name:<24}{frozen:>10.3g}{measured:>12.4g}{'ok' if ok else 'EXCEEDED':>10}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        code = main()
+    except FragilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
-from fragility.harness import ExperimentSpec, run_experiment, verify
+from fragility.errors import FragilityError
+from fragility.harness import ExperimentSpec, default_bound_sets, run_experiment, verify
 
 
 def main() -> int:
@@ -27,14 +29,14 @@ def main() -> int:
     failed = False
 
     sweeps = [
-        ("min_by_runs", "controlled_runs", "runs", [1, 2, 64, 1024], ["min-runs"]),
-        ("median_by_runs", "controlled_runs", "runs", [4, 16, 64], ["median-runs-envelope"]),
-        ("min_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12], ["min-inv"]),
-        ("median_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12], ["median-inv-envelope"]),
-        ("sort_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12], ["sort-inv-envelope"]),
-        ("extract_sorted_run", "controlled_inv", "inv", [2**4, 2**8, 2**12], ["extract-structure"]),
+        ("min_by_runs", "controlled_runs", "runs", [1, 2, 64, 1024]),
+        ("median_by_runs", "controlled_runs", "runs", [4, 16, 64]),
+        ("min_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12]),
+        ("median_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12]),
+        ("sort_by_inv", "controlled_inv", "inv", [2**4, 2**8, 2**12]),
+        ("extract_sorted_run", "controlled_inv", "inv", [2**4, 2**8, 2**12]),
     ]
-    for algo, generator, param, buckets, bound_sets in sweeps:
+    for algo, generator, param, buckets in sweeps:
         medians = []
         for bucket in buckets:
             spec = ExperimentSpec(
@@ -44,7 +46,7 @@ def main() -> int:
             report = run_experiment(spec)
             path = outdir / f"{algo}-{param}{bucket}.json"
             path.write_text(report.to_json(), encoding="utf-8")
-            for name in bound_sets:
+            for name in default_bound_sets(algo):
                 ok, verdicts = verify(report, name)
                 failed = failed or not ok
                 if not ok:
@@ -57,4 +59,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+    except FragilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

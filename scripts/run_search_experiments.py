@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
-from fragility.harness import ExperimentSpec, run_experiment, verify
+from fragility.errors import FragilityError
+from fragility.harness import ExperimentSpec, default_bound_sets, run_experiment, verify
 
 
 def main() -> int:
@@ -26,12 +28,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     failed = False
     jobs = [
-        ("exp_search", "uniform_ranks", ["exp-search-rank"]),
-        ("offset_search", "uniform_ranks", ["offset-amortized"]),
-        ("offset_search", "skewed_ranks", ["offset-amortized"]),
-        ("randomized_search", "uniform_ranks", ["randomized-mean"]),
+        ("exp_search", "uniform_ranks"),
+        ("offset_search", "uniform_ranks"),
+        ("offset_search", "skewed_ranks"),
+        ("randomized_search", "uniform_ranks"),
     ]
-    for algo, workload, bound_sets in jobs:
+    for algo, workload in jobs:
         spec = ExperimentSpec(
             algorithm=algo, generator=workload, n=args.n,
             searches=args.searches, trials=args.trials, seed=args.seed,
@@ -39,7 +41,7 @@ def main() -> int:
         report = run_experiment(spec)
         path = outdir / f"{algo}-{workload}.json"
         path.write_text(report.to_json(), encoding="utf-8")
-        for name in bound_sets:
+        for name in default_bound_sets(algo):
             ok, verdicts = verify(report, name)
             worst = min(v["slack"] for v in verdicts)
             status = "pass" if ok else "FAIL"
@@ -49,4 +51,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+    except FragilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

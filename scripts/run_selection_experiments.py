@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
-from fragility.harness import ExperimentSpec, run_experiment, verify
+from fragility.errors import FragilityError
+from fragility.harness import ExperimentSpec, default_bound_sets, run_experiment, verify
 
 
 def main() -> int:
@@ -35,7 +37,7 @@ def main() -> int:
         report = run_experiment(spec)
         path = outdir / f"select-k{k}.json"
         path.write_text(report.to_json(), encoding="utf-8")
-        ok, _ = verify(report, "select-expectations")
+        ok = all(verify(report, name)[0] for name in default_bound_sets("select_kth"))
         rows = report.rows
         mean = lambda key: sum(r[key] for r in rows) / len(rows)
         print(
@@ -50,4 +52,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+    except FragilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

@@ -10,7 +10,6 @@ from .errors import (
     EmptyInput,
     FragilityError,
     InfeasibleTarget,
-    MergePreconditionViolated,
     RankOutOfRange,
     SelfComparison,
     UnknownElement,
@@ -30,7 +29,6 @@ __all__ = [
     "FragilityError",
     "FragilityProfile",
     "InfeasibleTarget",
-    "MergePreconditionViolated",
     "Ordering",
     "RankOutOfRange",
     "SelfComparison",

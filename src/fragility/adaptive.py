@@ -115,17 +115,6 @@ def count_permutation_inversions(perm: np.ndarray) -> int:
     return inv
 
 
-def count_inversions_oracle(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
-    """Exact inversion count via audit-mode keys; zero counted comparisons.
-
-    The stable order of the keys is the inverse of their rank permutation,
-    and a permutation has as many inversions as its inverse.
-    """
-    keys = [ledger.sort_key(e) for e in seq]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return count_permutation_inversions(np.array(order, dtype=np.int64))
-
-
 def min_by_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     """Scan for runs, then a knockout tournament on the run heads.
 

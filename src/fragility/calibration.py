@@ -25,7 +25,8 @@ C_MI = 2.0
 C_S = 2.0
 
 # randomized predecessor search: mean per-element fragility over a workload of
-# m searches <= RANDOMIZED_MEAN_FACTOR * m * log2(n) / n
+# m searches <= RANDOMIZED_MEAN_FACTOR * m * max(1, log2(n)) / n; the floor
+# covers n = 1, where log2 n is 0 yet every search makes one comparison
 RANDOMIZED_MEAN_FACTOR = 4.0
 
 # two-run median: per-element fragility cap (constant by design)
@@ -46,4 +47,4 @@ def sort_inv_envelope(inv: int) -> float:
 
 
 def randomized_mean_budget(n: int, searches: int) -> float:
-    return RANDOMIZED_MEAN_FACTOR * searches * math.log2(n) / n
+    return RANDOMIZED_MEAN_FACTOR * searches * max(1.0, math.log2(n)) / n

@@ -27,7 +27,3 @@ class InfeasibleTarget(FragilityError):
 
 class ConfigError(FragilityError):
     """An experiment spec or CLI invocation is inconsistent."""
-
-
-class MergePreconditionViolated(FragilityError):
-    """A merge input turned out not to be ascending."""

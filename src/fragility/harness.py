@@ -463,15 +463,6 @@ class Report:
         payload = {"spec": self.spec, "rows": self.rows, "aggregates": self.aggregates}
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"spec": self.spec}, sort_keys=True, separators=(",", ":"))]
-        for row in self.rows:
-            lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
-        lines.append(
-            json.dumps({"aggregates": self.aggregates}, sort_keys=True, separators=(",", ":"))
-        )
-        return "\n".join(lines) + "\n"
-
     def to_csv(self) -> str:
         keys = sorted({k for row in self.rows for k in row})
         buf = io.StringIO()
@@ -538,7 +529,8 @@ def _check_select(report):
     out = _check_correct(report)
     sampled = [row for row in report.rows if row.get("branch") == "sampled"]
     if sampled:
-        k = sampled[0]["k"]
+        # S' holds z, so it is never empty: k = 0 takes select_kth's max(k, 1)
+        k = max(sampled[0]["k"], 1)
         mean_sp = sum(row["Sprime_size"] for row in sampled) / len(sampled)
         bound = 1.2 * k * (k + 1)
         out.append(_verdict("mean-filtered-size", None, mean_sp <= bound, bound - mean_sp))

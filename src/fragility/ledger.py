@@ -10,9 +10,6 @@ checks never distort the measured comparison counts.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -38,25 +35,6 @@ class FragilityProfile:
     mean: float
     by_role: dict[str, tuple[int, float]] = field(default_factory=dict)
     phase: Optional[str] = None
-
-    def to_json(self) -> str:
-        payload = {
-            "per_element": {str(k): v for k, v in sorted(self.per_element.items())},
-            "max": self.max,
-            "mean": self.mean,
-            "by_role": {r: {"max": m, "mean": a} for r, (m, a) in sorted(self.by_role.items())},
-            "phase": self.phase,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    def to_csv(self, role_map: Optional[Mapping[int, str]] = None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["element_index", "role", "count"])
-        for idx in sorted(self.per_element):
-            role = role_map.get(idx, "") if role_map else ""
-            writer.writerow([idx, role, self.per_element[idx]])
-        return buf.getvalue()
 
 
 class ComparisonLedger:

@@ -6,13 +6,12 @@ element id.  Three searchers share the same contract (the position of the
 largest element strictly smaller than the query, or absent): plain
 exponential search, the offset-rotating dyadic-interval structure for search
 sequences, and a randomized offset-free variant.  The rotating structure spreads the array-side
-comparison load; :func:`potential_audit` and :func:`amortized_check` make its
+comparison load; :func:`potential_audit` and :func:`budget_per_element` make its
 amortized accounting executable.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -61,41 +60,25 @@ class PredecessorResult:
 
 @dataclass
 class SearchTrace:
-    """Per-search record of (query, compared positions, result)."""
+    """Per-search record of (query, result, compared positions, ranks used)."""
 
     n: int
     n_padded: int
     searches: list[dict] = field(default_factory=list)
-    counts: dict[int, int] = field(default_factory=dict)
 
     def record(
-        self,
-        query: int,
-        result: PredecessorResult,
-        compared: list[int],
-        ranks: Optional[list[int]] = None,
+        self, query: int, result: PredecessorResult, compared: list[int], ranks: list[int]
     ) -> None:
-        rec = {"query": query, "result": result.index, "compared": list(compared)}
-        if ranks is not None:
-            rec["ranks"] = list(ranks)
-        self.searches.append(rec)
-        for pos in compared:
-            self.counts[pos] = self.counts.get(pos, 0) + 1
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(s, sort_keys=True) for s in self.searches) + "\n"
+        self.searches.append(
+            {"query": query, "result": result.index, "compared": compared, "ranks": ranks}
+        )
 
 
 def _finish(lo: int) -> PredecessorResult:
     return PredecessorResult(index=lo - 1 if lo > 0 else None)
 
 
-def exp_search(
-    ledger: ComparisonLedger,
-    view: SortedView,
-    query: int,
-    trace: Optional[SearchTrace] = None,
-) -> PredecessorResult:
+def exp_search(ledger: ComparisonLedger, view: SortedView, query: int) -> PredecessorResult:
     """Exponential (doubling) search from the low end of the array.
 
     Probes 0-based positions 2^j - 1 capped at n-1, then binary-searches the
@@ -104,10 +87,8 @@ def exp_search(
     """
     ids = view.ids
     n = len(ids)
-    compared: list[int] = []
 
     def smaller(pos: int) -> bool:
-        compared.append(pos)
         return ledger.compare(query, ids[pos]) is Ordering.GREATER
 
     lo = 0  # positions < lo are known strictly smaller than the query
@@ -132,10 +113,7 @@ def exp_search(
             lo = mid + 1
         else:
             hi = mid
-    result = _finish(lo)
-    if trace is not None:
-        trace.record(query, result, compared)
-    return result
+    return _finish(lo)
 
 
 def exp_search_query_budget(k: int) -> int:
@@ -170,9 +148,6 @@ class OffsetSearchStructure:
             return self._positions[y]
         except KeyError:
             raise UnknownElement(f"{y} not in view") from None
-
-    def slot_count(self) -> int:
-        return sum(len(row) for row in self.offsets)
 
 
 def build_offset_structure(view: SortedView) -> OffsetSearchStructure:
@@ -250,27 +225,20 @@ def randomized_search(
     view: SortedView,
     query: int,
     rng: np.random.Generator,
-    trace: Optional[SearchTrace] = None,
 ) -> PredecessorResult:
     """Binary search probing a uniformly random element of the middle half."""
     ids = view.ids
-    n = len(ids)
-    compared: list[int] = []
-    lo, hi = 0, n
+    lo, hi = 0, len(ids)
     while lo < hi:
         length = hi - lo
         start = lo + length // 4
         stop = lo + (3 * length + 3) // 4
         pos = int(rng.integers(start, stop))
-        compared.append(pos)
         if ledger.compare(query, ids[pos]) is Ordering.GREATER:
             lo = pos + 1
         else:
             hi = pos
-    result = _finish(lo)
-    if trace is not None:
-        trace.record(query, result, compared)
-    return result
+    return _finish(lo)
 
 
 @dataclass
@@ -301,14 +269,6 @@ def potential_audit(s: OffsetSearchStructure, y: int) -> PotentialAudit:
     return PotentialAudit(y=y, per_rank=per_rank, phi=phi)
 
 
-@dataclass
-class AmortizedVerdict:
-    passed: bool
-    slack: float
-    count: int
-    budget: float
-
-
 def distance_to(result: PredecessorResult, y_pos: int) -> int:
     """Array distance between a query (sitting after its predecessor) and y."""
     p = -1 if result.index is None else result.index
@@ -319,7 +279,8 @@ def distance_to(result: PredecessorResult, y_pos: int) -> int:
 
 def budget_per_element(trace: SearchTrace) -> np.ndarray:
     """Amortized budget of every array position: ceil(log2 n_padded) plus,
-    over the searches, 112 / distance_to(result, position)."""
+    over the searches, 112 / distance_to(result, position).  The
+    ``offset-amortized`` bound checks the array's ledger counts against it."""
     n = trace.n
     budget = np.full(n, float(ceil_log2(trace.n_padded)))
     pos = np.arange(n)
@@ -328,15 +289,6 @@ def budget_per_element(trace: SearchTrace) -> np.ndarray:
         d = np.where(pos <= p, p - pos + 1, np.maximum(1, pos - p))
         budget += AMORTIZED_BUDGET_PER_DISTANCE / d
     return budget
-
-
-def amortized_check(trace: SearchTrace, y_pos: int) -> AmortizedVerdict:
-    """Check count(y) <= ceil(log2 n_padded) + sum over searches of 112/d."""
-    if not 0 <= y_pos < trace.n:
-        raise UnknownElement(f"position {y_pos} not in 0..{trace.n - 1}")
-    budget = float(budget_per_element(trace)[y_pos])
-    count = trace.counts.get(y_pos, 0)
-    return AmortizedVerdict(passed=count <= budget, slack=budget - count, count=count, budget=budget)
 
 
 def predecessor_oracle(

@@ -1,6 +1,7 @@
 """Generators, experiment runner determinism, bound verification, CLI."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from fragility.errors import ConfigError, InfeasibleTarget
 from fragility.harness import (
     ALGORITHMS,
     BOUND_SETS,
+    SEARCHES,
     SEQUENCE_GENERATORS,
     ExperimentSpec,
     Report,
@@ -263,8 +265,6 @@ def test_report_round_trip_and_csv():
     csv_text = report.to_csv()
     header = csv_text.splitlines()[0].split(",")
     assert "frag_max" in header and len(csv_text.splitlines()) == 4
-    jsonl = report.to_jsonl()
-    assert len(jsonl.splitlines()) == 5  # spec + 3 rows + aggregates
 
 
 SMOKE_SPECS = [
@@ -286,7 +286,29 @@ SMOKE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", SMOKE_SPECS, ids=lambda s: s.algorithm + "-" + s.generator)
+def _at_size(spec, n, duplicates):
+    """``spec`` at size ``n``, with its k, runs, inv and split clamped to fit."""
+    clamp = lambda value, top: None if value is None else min(value, top)
+    return dataclasses.replace(
+        spec, n=n, duplicates=duplicates, k=clamp(spec.k, n - 1), runs=clamp(spec.runs, n),
+        inv=clamp(spec.inv, n * (n - 1) // 2), split=clamp(spec.split, n),
+    )
+
+
+# every smoke spec as is, then at n = 1 and 2 with and without ties (a search
+# draws its ranks and never reads ``duplicates``), and select_kth at k = 0
+BOUND_SPECS = [pytest.param(s, id=f"{s.algorithm}-{s.generator}") for s in SMOKE_SPECS] + [
+    pytest.param(_at_size(s, n, dup), id=f"{s.algorithm}-{s.generator}-n{n}" + "-dup" * dup)
+    for s in SMOKE_SPECS
+    for n in (1, 2)
+    for dup in ((False,) if s.algorithm in SEARCHES else (False, True))
+] + [
+    pytest.param(ExperimentSpec(algorithm="select_kth", n=512, k=0, epsilon=0.25, trials=3),
+                 id="select_kth-random-k0"),
+]
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS)
 def test_every_algorithm_passes_its_default_bounds(spec):
     report = run_experiment(spec)
     names = default_bound_sets(spec.algorithm)
@@ -415,6 +437,18 @@ def test_cli_run_rejects_epsilon_outside_zero_to_one(epsilon, capsys):
     assert "epsilon" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="epsilon"):
         ExperimentSpec.from_mapping({"algorithm": "select_kth", "epsilon": epsilon})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "select_kth", "--n", "1000", "--k", "0", "--epsilon", "0.25"],
+    ["--algo", "randomized_search", "--generator", "uniform_ranks", "--n", "1", "--searches", "10"],
+], ids=["select_kth-k0", "randomized_search-n1"])
+def test_cli_verify_passes_at_a_degenerate_size(argv, tmp_path, capsys):
+    """k = 0 still filters to |S'| >= 1, and n = 1 still costs a comparison per search."""
+    report_path = tmp_path / "report.json"
+    assert cli.main(["run", *argv, "--out", str(report_path)]) == 0
+    assert cli.main(["verify", "--report", str(report_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_run_csv_format(tmp_path):

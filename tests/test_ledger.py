@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -201,11 +202,11 @@ def test_profile_roles_and_serialization():
     ledger.compare(a, b)
     prof = ledger.profile(role_map={a: "query", b: "array"})
     assert prof.by_role["query"] == (1, 1.0)
-    payload = json.loads(prof.to_json())
+    # the fields are plain JSON values, ready for a report row
+    payload = json.loads(json.dumps(asdict(prof)))
     assert payload["per_element"] == {"0": 1, "1": 1}
-    csv_text = prof.to_csv(role_map={0: "query", 1: "array"})
-    assert csv_text.splitlines()[0] == "element_index,role,count"
-    assert "0,query,1" in csv_text
+    assert payload["by_role"] == {"query": [1, 1.0], "array": [1, 1.0]}
+    assert (payload["max"], payload["mean"], payload["phase"]) == (1, 1.0, None)
 
 
 def test_audit_sorted_is_payload_then_index():

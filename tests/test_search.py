@@ -1,7 +1,5 @@
 """Predecessor searchers, rotating offsets, and amortized accounting."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,6 @@ from fragility.search import (
     AMORTIZED_BUDGET_PER_DISTANCE,
     PredecessorResult,
     SearchTrace,
-    amortized_check,
     budget_per_element,
     build_offset_structure,
     distance_to,
@@ -76,15 +73,6 @@ def test_exp_search_query_budget_sweep_small():
         assert int(ledger.counts[q]) - before <= exp_search_query_budget(k)
 
 
-def test_search_trace_records_counts_and_jsonl():
-    trace = SearchTrace(n=8, n_padded=8)
-    trace.record(
-        query=_session([0], [1])[2][0], result=PredecessorResult(index=0), compared=[0, 3, 3]
-    )
-    assert trace.counts == {0: 1, 3: 2}
-    assert trace.to_jsonl().count("\n") == 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=array_and_queries)
 def test_offset_search_matches_oracle(data):
@@ -102,7 +90,7 @@ def test_offset_structure_position_and_slots():
     assert s.position_of(view.ids[5]) == 5
     with pytest.raises(UnknownElement):
         s.position_of(99)
-    assert s.slot_count() == 16 + 8 + 4 + 2 + 1
+    assert sum(len(row) for row in s.offsets) == 16 + 8 + 4 + 2 + 1
 
 
 def test_offsets_rotate_between_identical_searches():
@@ -168,6 +156,8 @@ def test_per_search_amortized_inequality_all_elements():
 
 
 def test_amortized_check_agrees_with_trace_counts():
+    """The trace's probed positions tally to the ledger's array counts, and the
+    amortized budget covers every one of them."""
     n = 64
     rng = np.random.default_rng(2)
     ranks = rng.integers(0, n + 1, size=200)
@@ -178,11 +168,12 @@ def test_amortized_check_agrees_with_trace_counts():
     trace = SearchTrace(n=n, n_padded=s.n_padded)
     for q in qids:
         offset_search(ledger, s, q, trace=trace)
-    for pos in range(n):
-        verdict = amortized_check(trace, pos)
-        assert verdict.passed, (pos, verdict)
-        assert verdict.count == trace.counts.get(pos, 0)
-        assert math.isclose(verdict.slack, verdict.budget - verdict.count)
+    tally = np.zeros(n, dtype=np.int64)
+    for rec in trace.searches:
+        np.add.at(tally, rec["compared"], 1)
+    assert tally.tolist() == ledger.counts[:n].tolist()
+    slack = budget_per_element(trace) - ledger.counts[:n]
+    assert (slack >= 0).all(), slack.min()
 
 
 def test_budget_per_element_equals_the_per_position_sum():
@@ -205,10 +196,6 @@ def test_budget_per_element_equals_the_per_position_sum():
                 res = PredecessorResult(index=rec["result"])
                 expected += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(res, pos)
             assert budget[pos] == expected, (n, pos)
-            assert amortized_check(trace, pos).budget == expected
-        for pos in (-1, n):
-            with pytest.raises(UnknownElement):
-                amortized_check(trace, pos)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Time the harness's uncounted oracle: the canonical order plus (Runs, Inv).
+"""Time a select-large trial's per-array steps outside the algorithm.
 
-Each size times ``_oracle_order(vals)`` followed by
-``_measured_disorder(vals, order)`` on the int64 array that ``gen_random``
-returns, as a trial's oracle receives it; a checkout whose generator returns
-a Python list is timed on that list.  Prints one JSON object of median and
-best microseconds per size.  To compare two checkouts, run it
-alternately with each one's ``src`` directory:
+``oracle`` times ``_oracle_order(vals)`` followed by
+``_measured_disorder(vals, order)`` at each size, on the int64 array that
+``gen_random`` returns, as a trial's oracle receives it; a checkout whose
+generator returns a Python list is timed on that list.  At n = 2^17 it also
+times ``new_session`` on that array (``new_session``, the ledger's set-up and
+its release), and one counted ``_filter_at_most`` of the whole id pool
+against the rank-8 element (``filter_at_most``), as ``select_kth``'s final
+filter runs it.  Prints one JSON object of median and best microseconds per
+step and size.  To compare two checkouts, run it alternately with each one's
+``src`` directory:
 
     python3 scripts/bench_oracle.py --src src
     python3 scripts/bench_oracle.py --src /path/to/other/checkout/src
@@ -21,8 +25,24 @@ import sys
 import time
 
 SIZES = (100, 1 << 12, 1 << 17)  # small-many, a mid size, select-large
+LARGE = 1 << 17  # select-large's n, for the session and filter steps
 SAMPLES = 15  # timed samples per size
 SAMPLE_S = 0.05  # seconds of repetitions per sample
+
+
+def time_step(step) -> dict:
+    """Median and best microseconds per call of ``step`` over the samples."""
+    step()  # warm caches and lazy imports
+    t0 = time.perf_counter()
+    step()
+    reps = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-7)))
+    samples = []
+    for _ in range(SAMPLES):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            step()
+        samples.append((time.perf_counter() - t0) / reps * 1e6)
+    return {"median_us": statistics.median(samples), "best_us": min(samples), "reps": reps}
 
 
 def main() -> int:
@@ -34,25 +54,20 @@ def main() -> int:
 
     from fragility import generators
     from fragility.harness import _measured_disorder, _oracle_order
+    from fragility.ledger import new_session
+    from fragility.selection import _filter_at_most
 
-    out = {}
+    out: dict = {"oracle": {}}
     for n in SIZES:
         vals = generators.gen_random(n, np.random.default_rng(n))
+        out["oracle"][str(n)] = time_step(lambda: _measured_disorder(vals, _oracle_order(vals)))
 
-        def step():
-            _measured_disorder(vals, _oracle_order(vals))
-
-        step()  # warm caches and lazy imports
-        t0 = time.perf_counter()
-        step()
-        reps = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-7)))
-        samples = []
-        for _ in range(SAMPLES):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                step()
-            samples.append((time.perf_counter() - t0) / reps * 1e6)
-        out[str(n)] = {"median_us": statistics.median(samples), "best_us": min(samples), "reps": reps}
+    vals = generators.gen_random(LARGE, np.random.default_rng(LARGE))
+    out["new_session"] = {str(LARGE): time_step(lambda: new_session(vals))}
+    ledger, _ = new_session(vals)
+    pool = np.arange(LARGE, dtype=np.intp)
+    z = int(np.flatnonzero(np.asarray(vals) == 8)[0])
+    out["filter_at_most"] = {str(LARGE): time_step(lambda: _filter_at_most(ledger, pool, z))}
     print(json.dumps(out))
     return 0
 

@@ -1,8 +1,11 @@
 """The counting comparator.
 
 An element's id is a plain ``int``: its index in the session's values.  Batch
-paths pass the same indices as ``np.intp`` arrays.  Every algorithm in this
-package performs ordering queries exclusively through a
+paths pass the same indices as ``np.intp`` arrays.  A session built from a
+numpy array keeps its payloads once, in a private copy: the batch paths index
+that array, and scalar comparisons read Python scalars from it through a
+``memoryview`` where its dtype allows (see ``_scalar_view``).  Every algorithm
+in this package performs ordering queries exclusively through a
 :class:`ComparisonLedger`, which records how many comparisons each element
 participates in.  Test oracles use the uncounted audit mode so that correctness
 checks never distort the measured comparison counts.
@@ -57,16 +60,24 @@ class ComparisonLedger:
     def __init__(self, values: Sequence) -> None:
         if len(values) == 0:
             raise EmptyInput("a session needs at least one value")
-        # an array's tolist() yields plain Python scalars, which the scalar
-        # comparisons handle faster than numpy scalars
-        self._values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        try:
-            vnum = np.array(values)  # a private copy, also of an array
-            if vnum.dtype == object:
+        if isinstance(values, np.ndarray):
+            vnum = np.array(values)  # a private copy
+            # the scalar comparisons need plain Python scalars, which are
+            # faster to compare than numpy scalars: a memoryview of the copy
+            # yields them without a second copy of the payloads
+            view = _scalar_view(vnum)
+            self._values = vnum.tolist() if view is None else view
+        else:
+            self._values = list(values)
+            try:
+                vnum = np.array(values)
+            except Exception:
                 vnum = None
-        except Exception:
-            vnum = None
-        self._vnum = vnum
+            # a float array can merge distinct ints (2**60 and 2**60 + 1); a
+            # NaN also fails this check, and per-pair compares agree on it
+            if vnum is not None and vnum.dtype.kind == "f" and vnum.tolist() != self._values:
+                vnum = None
+        self._vnum = None if vnum is None or vnum.dtype == object else vnum
         self.counts = np.zeros(len(self._values), dtype=np.int64)
         self.total = 0
         self.audit_total = 0
@@ -118,12 +129,14 @@ class ComparisonLedger:
             return a < b
         return order is Ordering.LESS
 
-    def compare_batch(self, a_indices: np.ndarray, b_indices: np.ndarray) -> np.ndarray:
+    def compare_batch(self, a_indices: np.ndarray, b_indices: np.ndarray | int) -> np.ndarray:
         """Vectorized counted comparisons; returns -1/0/+1 per pair.
 
         Semantically identical to calling :meth:`compare` per pair; used by
         comparator-network application and sample filtering where Python-level
-        loops would dominate the runtime.
+        loops would dominate the runtime.  ``b_indices`` is an array of the
+        same length, or a single id compared with every element of
+        ``a_indices``, whose count then rises by ``a_indices.size``.
         """
         a_indices = np.asarray(a_indices, dtype=np.intp)
         b_indices = np.asarray(b_indices, dtype=np.intp)
@@ -136,15 +149,12 @@ class ComparisonLedger:
         if np.any(a_indices == b_indices):
             raise SelfComparison("batch contains a self-comparison")
         if self._vnum is None:
-            pairs = zip(a_indices.tolist(), b_indices.tolist())
+            pairs = zip(a_indices.tolist(), np.broadcast_to(b_indices, a_indices.shape).tolist())
             return np.array([int(self.compare(i, j)) for i, j in pairs], dtype=np.int8)
-        np.add.at(self.counts, a_indices, 1)
-        np.add.at(self.counts, b_indices, 1)
+        _tally(self.counts, a_indices, b_indices)
         self.total += int(a_indices.size)
         if self._phase is not None:
-            pc = self._phase_counts[self._phase]
-            np.add.at(pc, a_indices, 1)
-            np.add.at(pc, b_indices, 1)
+            _tally(self._phase_counts[self._phase], a_indices, b_indices)
         va = self._vnum[a_indices]
         vb = self._vnum[b_indices]
         # unordered pairs (NaN) are neither greater nor less: sign 0, as in compare
@@ -212,6 +222,32 @@ class ComparisonLedger:
                 grouped.setdefault(role, []).append(int(counts[eid]))
             by_role = {r: (max(v), sum(v) / len(v)) for r, v in grouped.items()}
         return FragilityProfile(per_element=per_element, max=mx, mean=mean, by_role=by_role, phase=phase)
+
+
+def _tally(counts: np.ndarray, a_indices: np.ndarray, b_indices: np.ndarray) -> None:
+    """Count one comparison per pair on both sides; a single b takes them all."""
+    np.add.at(counts, a_indices, 1)
+    if b_indices.ndim:
+        np.add.at(counts, b_indices, 1)
+    else:
+        counts[b_indices] += a_indices.size
+
+
+def _scalar_view(vnum: np.ndarray) -> Optional[memoryview]:
+    """A memoryview whose items are ``vnum.tolist()``'s scalars, or None.
+
+    Only 1-D native-byte-order bool, int, uint and float arrays qualify, and
+    only where ``memoryview`` can index their format (CPython 3.11 cannot
+    index float16 or long double).
+    """
+    if vnum.ndim != 1 or vnum.dtype.kind not in "biuf" or not vnum.dtype.isnative:
+        return None
+    view = memoryview(vnum)
+    try:
+        view[0]
+    except NotImplementedError:
+        return None
+    return view
 
 
 def new_session(values: Sequence) -> tuple[ComparisonLedger, list[int]]:

@@ -43,7 +43,7 @@ def _filter_at_most(ledger: ComparisonLedger, pool: Sequence[int], z: int) -> np
     others = pool[pool != z]
     if others.size == 0:
         return np.array([z], dtype=np.intp)
-    signs = ledger.compare_batch(others, np.full(others.size, z, dtype=np.intp))
+    signs = ledger.compare_batch(others, z)
     keep = (signs < 0) | ((signs == 0) & (others < z))
     return np.append(others[keep], z)
 

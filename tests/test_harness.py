@@ -72,8 +72,13 @@ def test_measured_disorder_matches_brute_force(vals):
         [-3, 7, -3, -10, 0, 7, -10, -3],
         [0.5, -1.25, 0.5, 2.0, -1.25, 0.5],
         generators.gen_random(1000, np.random.default_rng(2)),
+        [0],
+        [1, 0],
+        [2, 1],
+        [3, 0, 3, 1],
     ],
-    ids=["n1", "n2", "n2-equal", "all-equal", "with-duplicates", "negative", "float-ties", "distinct"],
+    ids=["n1", "n2", "n2-equal", "all-equal", "with-duplicates", "negative", "float-ties", "distinct",
+         "perm-n1", "perm-n2", "shifted-perm-n2", "perm-range-missing-a-slot"],
 )
 def test_oracle_order_is_the_stable_argsort(vals):
     expected = np.argsort(np.asarray(vals), kind="stable")
@@ -86,6 +91,30 @@ def test_oracle_order_is_the_stable_argsort(vals):
 def test_oracle_order_is_the_stable_argsort_with_many_ties(vals):
     expected = np.argsort(np.asarray(vals, dtype=np.int64), kind="stable")
     assert _oracle_order(np.asarray(vals, dtype=np.int64)).tolist() == expected.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    perm=st.integers(1, 80).flatmap(lambda n: st.permutations(range(n))),
+    change=st.sampled_from(["none", "duplicate", "shift", "negate", "uint8", "uint8-duplicate"]),
+    i=st.integers(0, 79),
+    j=st.integers(0, 79),
+)
+def test_oracle_order_on_permutations_and_near_permutations(perm, change, i, j):
+    """The inverse-permutation path agrees with the stable argsort, and
+    payloads that are almost a permutation of 0..n-1 still sort correctly."""
+    vals = np.array(perm, dtype=np.int64)
+    n = vals.size
+    if change.endswith("duplicate"):
+        vals[i % n] = vals[j % n]
+    if change == "shift":
+        vals += 1
+    elif change == "negate":
+        vals = -vals
+    elif change.startswith("uint8"):
+        vals = vals.astype(np.uint8)
+    expected = np.argsort(vals, kind="stable")
+    assert _oracle_order(vals).tolist() == expected.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +167,7 @@ def test_gen_random_returns_an_array_that_sessions_take_as_is():
     from_array, ids_a = new_session(vals)
     from_list, ids_l = new_session(vals.tolist())
     assert ids_a == ids_l and all(type(e) is int for e in ids_a)
-    assert from_array._values == from_list._values
+    assert list(from_array._values) == from_list._values
     assert all(type(v) is int for v in from_array._values)
     assert from_array._vnum.dtype == from_list._vnum.dtype
     assert from_array._vnum.tolist() == from_list._vnum.tolist()
@@ -338,6 +367,44 @@ def test_verify_fails_on_corrupted_report():
     ok, verdicts = verify(report, "min-runs")
     assert not ok
     assert any(v["slack"] < 0 for v in verdicts)
+
+
+def _select_report(rows):
+    rows = [
+        dict(trial=t, correct=True, branch="sampled", k=k, Sprime_size=size,
+             fragility_of_selected_pre=1)
+        for t, (k, size) in enumerate(rows)
+    ]
+    return Report(spec={"algorithm": "select_kth"}, rows=rows)
+
+
+def _filtered_size_verdict(report):
+    _, verdicts = verify(report, "select-expectations")
+    (verdict,) = [v for v in verdicts if v["bound"] == "mean-filtered-size"]
+    return verdict
+
+
+@pytest.mark.parametrize("sizes", [(2, 20), (2, 26)], ids=["passes", "fails"])
+def test_select_filtered_size_limit_uses_each_rows_k(sizes):
+    """With k left unset, rows differ in k: the limit is the mean of the
+    per-row limits 1.2·k′(k′+1), whichever row comes first."""
+    limit = (1.2 * 1 * 2 + 1.2 * 4 * 5) / 2  # 13.2, for k = 1 and k = 4
+    mean = sum(sizes) / 2
+    for rows in ([(1, sizes[0]), (4, sizes[1])], [(4, sizes[1]), (1, sizes[0])]):
+        verdict = _filtered_size_verdict(_select_report(rows))
+        assert verdict["passed"] == (mean <= limit)
+        assert verdict["slack"] == pytest.approx(limit - mean)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 8, 31])
+@pytest.mark.parametrize("trials", [1, 3, 7, 150])
+def test_select_filtered_size_limit_is_exact_at_fixed_k(k, trials):
+    """A fixed-k report keeps the limit 1.2·k′(k′+1) to the last bit, so its
+    verdict bytes do not move."""
+    k1 = max(k, 1)
+    sizes = [k1 * (k1 + 1) + t % 3 for t in range(trials)]
+    verdict = _filtered_size_verdict(_select_report([(k, size) for size in sizes]))
+    assert verdict["slack"] == 1.2 * k1 * (k1 + 1) - sum(sizes) / trials
 
 
 def test_aggregate_reports_summary():

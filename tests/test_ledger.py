@@ -260,7 +260,7 @@ def test_session_from_array_keeps_a_private_copy(values):
     from_list, _ = new_session(values.tolist())
     assert from_array._vnum is not values
     assert from_array._vnum.dtype == values.dtype
-    assert from_array._values == values.tolist()
+    assert list(from_array._values) == values.tolist()
     n = values.size
     a = np.array([i for i in range(n) for j in range(n) if i != j], dtype=np.intp)
     b = np.array([j for i in range(n) for j in range(n) if i != j], dtype=np.intp)
@@ -305,3 +305,92 @@ def test_compare_batch_signs_match_compare_per_dtype(values):
     assert l1.counts.tolist() == l2.counts.tolist()
     assert l1.total == l2.total == len(pairs)
     assert int(l1.counts.sum()) == 2 * l1.total
+
+
+def test_list_that_a_float_array_cannot_hold_compares_per_pair():
+    """float64 merges 2**60 and 2**60 + 1, so the batch must not use it."""
+    ledger = ComparisonLedger([2**60, 2**60 + 1, 0.5])
+    assert ledger._vnum is None
+    assert ledger.compare(0, 1) is Ordering.LESS
+    assert ledger.compare_batch(np.array([0, 2]), np.array([1, 1])).tolist() == [-1, -1]
+    assert ledger.counts.tolist() == [2, 3, 1] and ledger.total == 3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([True, False, True, False]),
+        np.array([-128, 127, 0, 127, -1], dtype=np.int8),
+        np.array([2**64 - 1, 0, 2**63, 2**64 - 1, 1], dtype=np.uint64),
+        np.array([0.5, np.nan, -2.0, 0.5, np.inf, -0.0, 0.0], dtype=np.float16),
+        np.array([2**62, -(2**62), 3, 3, 0], dtype=">i8"),
+    ],
+    ids=["bool", "int8", "uint64", "float16-nan", "big-endian-int64"],
+)
+def test_scalar_compare_on_an_array_session_matches_batch_and_list(values):
+    """Scalar reads of an array session give the list session's scalars."""
+    n = values.size
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    from_array, _ = new_session(values)
+    from_list, _ = new_session(values.tolist())
+    batch, _ = new_session(values)
+    if values.dtype.isnative and values.dtype != np.float16:
+        assert isinstance(from_array._values, memoryview)
+    if not values.dtype.isnative:
+        assert isinstance(from_array._values, list)
+    for i in range(n):
+        got, want = from_array.payload(i), from_list.payload(i)
+        assert type(got) is type(want) and (got == want or got != got and want != want)
+    scalar = [int(from_array.compare(i, j)) for i, j in pairs]
+    assert scalar == [int(from_list.compare(i, j)) for i, j in pairs]
+    assert scalar == [int(from_array.audit_compare(i, j)) for i, j in pairs]
+    a = np.array([i for i, _ in pairs], dtype=np.intp)
+    b = np.array([j for _, j in pairs], dtype=np.intp)
+    assert batch.compare_batch(a, b).tolist() == scalar
+    assert from_array.counts.tolist() == from_list.counts.tolist() == batch.counts.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=30),
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=2, max_size=12),
+    ),
+    a=st.lists(st.integers(0, 29), max_size=40),
+    z=st.integers(0, 29),
+    phase=st.booleans(),
+)
+def test_compare_batch_with_a_single_id_matches_a_repeated_array(values, a, z, phase):
+    """compare_batch(a, z) counts and signs as compare_batch(a, [z] * a.size)."""
+    n = len(values)
+    z %= n
+    a = np.array([i % n for i in a if i % n != z], dtype=np.intp)
+    single, _ = new_session(values)
+    repeated, _ = new_session(values)
+    signs = []
+    for ledger, b in ((single, z), (repeated, np.full(a.size, z, dtype=np.intp))):
+        if phase:
+            with ledger.in_phase("filter"):
+                ledger.compare_batch(a, b)
+        signs.append(ledger.compare_batch(a, b))
+    assert signs[0].dtype == np.int8
+    assert signs[0].tolist() == signs[1].tolist()
+    assert single.counts.tolist() == repeated.counts.tolist()
+    assert single.phase_counts("filter").tolist() == repeated.phase_counts("filter").tolist()
+    assert single.total == repeated.total == (2 if phase else 1) * a.size
+    assert int(single.counts.sum()) == 2 * single.total
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[4, 1, 3], [Fraction(1, 3), Fraction(1, 2), Fraction(2, 6)]],
+    ids=["int", "object"],
+)
+def test_compare_batch_with_a_single_id_rejects_bad_ids(values):
+    ledger, _ = new_session(values)
+    with pytest.raises(SelfComparison):
+        ledger.compare_batch(np.array([0, 1]), 1)
+    for z in (3, -1):
+        with pytest.raises(UnknownElement):
+            ledger.compare_batch(np.array([0, 1]), z)
+    assert ledger.total == 0 and ledger.counts.tolist() == [0, 0, 0]

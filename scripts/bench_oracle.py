@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time a select-large trial's per-array steps outside the algorithm.
+"""Time a select-large trial's per-array steps outside the algorithm, and cold
+comparator networks.
 
 ``oracle`` times ``_oracle_order(vals)`` followed by
 ``_measured_disorder(vals, order)`` at each size, on the int64 array that
@@ -8,7 +9,10 @@ generator returns a Python list is timed on that list.  At n = 2^17 it also
 times ``new_session`` on that array (``new_session``, the ledger's set-up and
 its release), and one counted ``_filter_at_most`` of the whole id pool
 against the rank-8 element (``filter_at_most``), as ``select_kth``'s final
-filter runs it.  Prints one JSON object of median and best microseconds per
+filter runs it.  ``build_schedule`` times a cold ``build_schedule(m)`` and
+``network_sort`` a cold ``network_sort`` of a random permutation, each with
+every cache in ``fragility.primitives`` cleared before each call, at
+``WIRES``.  Prints one JSON object of median and best microseconds per
 step and size.  To compare two checkouts, run it alternately with each one's
 ``src`` directory:
 
@@ -26,18 +30,20 @@ import time
 
 SIZES = (100, 1 << 12, 1 << 17)  # small-many, a mid size, select-large
 LARGE = 1 << 17  # select-large's n, for the session and filter steps
+WIRES = (100, 20000, 32768)  # a small-many size; C8's widest networks
 SAMPLES = 15  # timed samples per size
+COLD_SAMPLES = 5  # timed samples per cold network, which take up to seconds
 SAMPLE_S = 0.05  # seconds of repetitions per sample
 
 
-def time_step(step) -> dict:
+def time_step(step, count: int = SAMPLES) -> dict:
     """Median and best microseconds per call of ``step`` over the samples."""
     step()  # warm caches and lazy imports
     t0 = time.perf_counter()
     step()
     reps = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-7)))
     samples = []
-    for _ in range(SAMPLES):
+    for _ in range(count):
         t0 = time.perf_counter()
         for _ in range(reps):
             step()
@@ -52,7 +58,7 @@ def main() -> int:
     sys.path.insert(0, args.src)
     import numpy as np
 
-    from fragility import generators
+    from fragility import generators, primitives
     from fragility.harness import _measured_disorder, _oracle_order
     from fragility.ledger import new_session
     from fragility.selection import _filter_at_most
@@ -68,6 +74,25 @@ def main() -> int:
     pool = np.arange(LARGE, dtype=np.intp)
     z = int(np.flatnonzero(np.asarray(vals) == 8)[0])
     out["filter_at_most"] = {str(LARGE): time_step(lambda: _filter_at_most(ledger, pool, z))}
+
+    caches = [f for f in vars(primitives).values() if callable(getattr(f, "cache_clear", None))]
+
+    def cold(step):
+        def run():
+            for cached in caches:
+                cached.cache_clear()
+            step()
+
+        return run
+
+    out["build_schedule"] = {}
+    out["network_sort"] = {}
+    for m in WIRES:
+        ledger, ids = new_session(generators.gen_random(m, np.random.default_rng(m)))
+        build = cold(lambda: primitives.build_schedule(m))
+        out["build_schedule"][str(m)] = time_step(build, COLD_SAMPLES)
+        sort = cold(lambda: primitives.network_sort(ledger, ids))
+        out["network_sort"][str(m)] = time_step(sort, COLD_SAMPLES)
     print(json.dumps(out))
     return 0
 

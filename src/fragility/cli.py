@@ -1,7 +1,7 @@
 """Command-line interface: generate inputs, run experiments, verify bounds.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on configuration
-errors (bad flags, infeasible targets, malformed spec files).
+errors (bad flags, infeasible targets, malformed spec files or reports).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FragilityError
+from .errors import ConfigError, FragilityError
 from .harness import (
     SEQUENCE_GENERATORS,
     ExperimentSpec,
@@ -58,9 +58,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> Report:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return Report.from_json(fh.read())
+        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, not a report
+            raise ConfigError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _cmd_verify(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = Report.from_json(fh.read())
+    report = _read_report(args.report)
     names = args.bounds or default_bound_sets(report.spec.get("algorithm"))
     if not names:
         raise FragilityError(f"no bound sets apply to {report.spec.get('algorithm')!r}")
@@ -80,11 +87,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(Report.from_json(fh.read()))
-    summary = aggregate_reports(reports)
+    summary = aggregate_reports([_read_report(path) for path in args.reports])
     _write(args.out, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -56,6 +56,10 @@ def child_seed(seed: int, trial: int) -> int:
     return (seed * GOLDEN + trial) % (1 << 64)
 
 
+# the spellings of a bool that a spec file may use
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class ExperimentSpec:
     """Description of one experiment; all fields are plain scalars."""
@@ -112,12 +116,15 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown spec key {key!r}")
             typ = fields[key].type
             if isinstance(raw, str):
-                if typ in ("int", "Optional[int]"):
-                    raw = int(raw)
-                elif typ == "float":
-                    raw = float(raw)
-                elif typ == "bool":
-                    raw = raw.lower() in ("1", "true", "yes")
+                try:
+                    if typ in ("int", "Optional[int]"):
+                        raw = int(raw)
+                    elif typ == "float":
+                        raw = float(raw)
+                    elif typ == "bool":
+                        raw = _BOOLS[raw.lower()]
+                except (KeyError, ValueError):
+                    raise ConfigError(f"spec key {key!r}: cannot read {raw!r} as {typ}") from None
             kwargs[key] = raw
         if "algorithm" not in kwargs:
             raise ConfigError("spec needs an 'algorithm' key")

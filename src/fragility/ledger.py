@@ -90,8 +90,8 @@ class ComparisonLedger:
     def size(self) -> int:
         return len(self._values)
 
-    def ids(self) -> list[int]:
-        return list(range(len(self._values)))
+    def ids(self) -> range:
+        return range(len(self._values))
 
     # -- counted comparisons --------------------------------------------
 
@@ -250,8 +250,8 @@ def _scalar_view(vnum: np.ndarray) -> Optional[memoryview]:
     return view
 
 
-def new_session(values: Sequence) -> tuple[ComparisonLedger, list[int]]:
-    """Create a session over ``values``; its ids are ``0..n-1`` in input order."""
+def new_session(values: Sequence) -> tuple[ComparisonLedger, range]:
+    """Create a session over ``values``; its ids are ``range(n)``, in input order."""
     ledger = ComparisonLedger(values)
     return ledger, ledger.ids()
 

@@ -1,14 +1,16 @@
 """Comparison-count-bounded building blocks.
 
 Sorting uses Batcher's odd-even mergesort network, whose depth bounds the
-number of comparisons any single element participates in.  The remaining
-primitives (tournament minimum, galloping merge, deterministic selection) are
-shared by the search, selection and adaptive modules.
+number of comparisons any single element participates in.  The network on m
+wires has one representation, ``build_schedule(m)``: cached read-only index
+arrays of its comparators in layer order, which both paths of
+``network_sort`` read.  The remaining primitives (tournament minimum,
+galloping merge, deterministic selection) are shared by the search,
+selection and adaptive modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -30,72 +32,53 @@ def network_depth_bound(m: int) -> int:
     return t * (t + 1) // 2
 
 
-@dataclass(frozen=True)
-class ComparatorSchedule:
-    """Layered comparator network; pairs within a layer are disjoint."""
-
-    length: int
-    layers: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def apply_plain(self, values: list) -> list:
-        """Apply the network to plain comparable values (no ledger); test aid."""
-        out = list(values)
-        for layer in self.layers:
-            for i, j in layer:
-                if out[i] > out[j]:
-                    out[i], out[j] = out[j], out[i]
-        return out
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
-def _batcher_layers(n: int) -> list[list[tuple[int, int]]]:
-    # Knuth's iterative odd-even merge sort; n must be a power of two.
-    layers: list[list[tuple[int, int]]] = []
+@lru_cache(maxsize=None)
+def _batcher_network(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knuth's odd-even merge sort on n = 2^t wires, in the form of
+    :func:`build_schedule`.
+
+    Pass (p, k) compares wire x with x + k when x >= r = k mod p,
+    (x - r) mod 2k < k, x + k < n, and both wires lie in one block of 2p.
+    """
+    x = np.arange(n, dtype=np.intp)
+    los, his = [], []
     p = 1
     while p < n:
         k = p
         while k >= 1:
-            layer = []
-            for j in range(k % p, n - k, 2 * k):
-                for i in range(min(k, n - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        layer.append((i + j, i + j + k))
-            layers.append(layer)
+            r = k % p
+            y = x + k
+            lo = x[(x >= r) & ((x - r) % (2 * k) < k) & (y < n) & (x // (2 * p) == y // (2 * p))]
+            los.append(lo)
+            his.append(lo + k)
             k //= 2
         p *= 2
-    return layers
+    ends = np.cumsum([len(lo) for lo in los], dtype=np.intp)
+    return _read_only(np.concatenate([x[:0], *los]), np.concatenate([x[:0], *his]), ends)
 
 
 @lru_cache(maxsize=None)
-def build_schedule(m: int) -> ComparatorSchedule:
-    """Schedule for m wires; non-power-of-two sizes are padded virtually.
+def build_schedule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The network on m wires as read-only arrays ``(lo, hi, ends)``.
 
-    Positions >= m are imagined to hold plus-infinity sentinels, which never
-    move below the real wires, so comparators touching them are dropped.
+    Comparator c orders wires ``lo[c] < hi[c]``; layer i holds comparators
+    ``ends[i-1]:ends[i]`` (from 0 for the first), and the wires within a layer
+    are disjoint.  It is the network for the next power of two with every
+    comparator that touches a wire >= m dropped: those wires hold imagined
+    plus-infinity sentinels, which never move below the real wires.  Layers
+    left empty are dropped too.
     """
-    if m < 2:
-        return ComparatorSchedule(length=m, layers=())
-    n = 1 << ceil_log2(m)
-    layers = []
-    for layer in _batcher_layers(n):
-        kept = tuple((i, j) for i, j in layer if i < m and j < m)
-        if kept:
-            layers.append(kept)
-    return ComparatorSchedule(length=m, layers=tuple(layers))
-
-
-@lru_cache(maxsize=None)
-def _schedule_arrays(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    sched = build_schedule(m)
-    out = []
-    for layer in sched.layers:
-        ai = np.fromiter((i for i, _ in layer), dtype=np.intp, count=len(layer))
-        bi = np.fromiter((j for _, j in layer), dtype=np.intp, count=len(layer))
-        out.append((ai, bi))
-    return out
+    lo, hi, ends = _batcher_network(1 << ceil_log2(m))
+    keep = hi < m
+    kept = np.cumsum(keep, dtype=np.intp)[ends - 1]
+    ends = np.unique(kept[kept > 0])
+    return _read_only(lo[keep], hi[keep], ends)
 
 
 # Small networks are faster one comparator at a time than one numpy batch per
@@ -116,16 +99,20 @@ def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
     m = len(ids)
     if m < 2:
         return list(ids)
+    lo, hi, ends = build_schedule(m)
     if m <= SCALAR_NETWORK_WIRES:
         out = list(ids)
         less = ledger.less
-        for layer in build_schedule(m).layers:
-            for i, j in layer:
-                if not less(out[i], out[j]):
-                    out[i], out[j] = out[j], out[i]
+        for i, j in zip(lo.tolist(), hi.tolist()):
+            if not less(out[i], out[j]):
+                out[i], out[j] = out[j], out[i]
         return out
     arr = np.array(ids, dtype=np.intp)
-    for pos_a, pos_b in _schedule_arrays(m):
+    start = 0
+    for end in ends.tolist():
+        pos_a = lo[start:end]
+        pos_b = hi[start:end]
+        start = end
         ia = arr[pos_a]
         ib = arr[pos_b]
         signs = ledger.compare_batch(ia, ib)

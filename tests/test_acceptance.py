@@ -5,7 +5,6 @@ as they complete (they are also shown on failure without -s).  Tolerances and
 workload sizes are pinned here and must not be loosened to make a run pass.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -241,14 +240,11 @@ def test_criterion_08_adaptive_envelopes_and_monotonicity():
                f"failures={failures}" if failures else "3 sweeps x 3 buckets x 50 seeds")
 
 
-def test_criterion_09_network_and_tournament_properties():
+def test_criterion_09_network_and_tournament_properties(sorts_every_zero_one_input):
     """0-1 principle m <= 12; network fragility <= depth; tournament <= ceil(log2 m)."""
-    zero_one_ok = True
-    for m in range(1, 13):
-        sched = build_schedule(m)
-        for bits in itertools.product((0, 1), repeat=m):
-            if sched.apply_plain(list(bits)) != sorted(bits):
-                zero_one_ok = False
+    zero_one_ok = all(
+        sorts_every_zero_one_input(m, *build_schedule(m)[:2]) for m in range(1, 13)
+    )
     depth_ok = True
     tournament_ok = True
     for m in (4, 64, 1024):

@@ -488,6 +488,25 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["n = abc", "duplicates = maybe", "epsilon = half", "k = 1.5"])
+def test_cli_run_rejects_a_malformed_spec_value(line, tmp_path, capsys):
+    spec_path = tmp_path / "bad.spec"
+    spec_path.write_text(f"algorithm = network_sort\nn = 8\n{line}\n", encoding="utf-8")
+    assert cli.main(["run", "--spec", str(spec_path)]) == 2
+    key, _, value = line.partition(" = ")
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(value) in err
+
+
+@pytest.mark.parametrize("content", [b"not json", b'{"spec": {}', b"[1, 2]", b"{}", b"\xff\xfe"])
+def test_cli_rejects_a_malformed_report(content, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert cli.main(["verify", "--report", str(path)]) == 2
+    assert cli.main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.count(f"malformed report {path}") == 2
+
+
 @pytest.mark.parametrize("algorithm", ["exp_search", "offset_search", "randomized_search"])
 @pytest.mark.parametrize("searches", ["0", "-1"])
 def test_cli_run_rejects_fewer_than_one_search(algorithm, searches, capsys):

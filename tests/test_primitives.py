@@ -1,6 +1,7 @@
 """Sorting network, tournament, galloping merge, deterministic selection."""
 
-import itertools
+import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,23 +44,52 @@ def test_network_depth_bound_values():
     assert network_depth_bound(1024) == 55
 
 
+def _layers(m):
+    lo, hi, ends = build_schedule(m)
+    starts = [0, *ends.tolist()]
+    return [list(zip(lo[s:e].tolist(), hi[s:e].tolist())) for s, e in zip(starts, starts[1:])]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 16, 31])
 def test_schedule_layers_are_disjoint_and_within_depth(m):
-    sched = build_schedule(m)
-    assert sched.depth <= network_depth_bound(m)
-    for layer in sched.layers:
+    lo, hi, ends = build_schedule(m)
+    assert len(ends) <= network_depth_bound(m)
+    layers = _layers(m)
+    assert sum(len(layer) for layer in layers) == len(lo)
+    for layer in layers:
+        assert layer
         touched = [w for pair in layer for w in pair]
         assert len(touched) == len(set(touched))
         assert all(0 <= i < j < m for i, j in layer)
 
 
+def test_schedule_matches_the_pinned_networks():
+    """The (i, j) pairs in layer order for 2..300 wires, as the pure-Python
+    layer generator gave them before the networks were built as arrays."""
+    h = hashlib.sha256()
+    for m in range(2, 301):
+        for layer in _layers(m):
+            h.update(f"{m}:{layer}\n".encode())
+    assert h.hexdigest() == "e83aeaad789515c133c55c8aaca414b8a12a96c530da573118be8fd65fa8a5b3"
+
+
+def test_schedule_arrays_are_read_only():
+    for arr in build_schedule(5):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
 @pytest.mark.parametrize("m", range(1, 13))
-def test_zero_one_principle_exhaustive(m):
+def test_zero_one_principle_exhaustive(m, sorts_every_zero_one_input):
     """A network sorting every 0-1 input of length m sorts every input."""
-    sched = build_schedule(m)
-    for bits in itertools.product((0, 1), repeat=m):
-        out = sched.apply_plain(list(bits))
-        assert out == sorted(bits), f"m={m} bits={bits}"
+    lo, hi, _ = build_schedule(m)
+    assert sorts_every_zero_one_input(m, lo, hi)
+
+
+def test_zero_one_check_rejects_the_network_less_any_comparator(sorts_every_zero_one_input):
+    lo, hi, _ = build_schedule(8)
+    for c in range(len(lo)):
+        assert not sorts_every_zero_one_input(8, np.delete(lo, c), np.delete(hi, c)), c
 
 
 @settings(max_examples=120, deadline=None)
@@ -84,6 +114,8 @@ def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
     rng = np.random.default_rng(m)
     for trial in range(20):
         values = [int(v) for v in rng.integers(0, max(1, m // 2), size=m)]
+        if trial % 2:  # object payloads: compare_batch's per-pair fallback
+            values = [Fraction(v, 3) for v in values]
         # shuffled ids, so ties meet in both index orders
         order = [int(i) for i in rng.permutation(m)]
         runs = []
@@ -155,8 +187,8 @@ def test_merge_single_element_costs_logarithmically():
 
 def test_merge_empty_sides():
     ledger, ids = new_session([1, 2, 3])
-    assert exponential_merge(ledger, ids, []) == ids
-    assert exponential_merge(ledger, [], ids) == ids
+    assert exponential_merge(ledger, ids, []) == list(ids)
+    assert exponential_merge(ledger, [], ids) == list(ids)
     assert ledger.total == 0
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time a select-large trial's per-array steps outside the algorithm, and cold
-comparator networks.
+"""Time a select-large trial's per-array steps outside the algorithm, cold
+comparator networks, the inversion-table decoder and a long search sequence.
 
 ``oracle`` times ``_oracle_order(vals)`` followed by
 ``_measured_disorder(vals, order)`` at each size, on the int64 array that
@@ -12,8 +12,11 @@ against the rank-8 element (``filter_at_most``), as ``select_kth``'s final
 filter runs it.  ``build_schedule`` times a cold ``build_schedule(m)`` and
 ``network_sort`` a cold ``network_sort`` of a random permutation, each with
 every cache in ``fragility.primitives`` cleared before each call, at
-``WIRES``.  Prints one JSON object of median and best microseconds per
-step and size.  To compare two checkouts, run it alternately with each one's
+``WIRES``.  ``gen_controlled_inv`` times one generated input of
+``INV_N`` elements per inversion count in ``INVS``, and ``offset_search`` one
+trial of ``run_experiment`` on C3's offset_search spec (n = 1024, 10^4
+uniform-rank searches).  Prints one JSON object of median and best
+microseconds per step and size.  To compare two checkouts, run it alternately with each one's
 ``src`` directory:
 
     python3 scripts/bench_oracle.py --src src
@@ -32,7 +35,9 @@ SIZES = (100, 1 << 12, 1 << 17)  # small-many, a mid size, select-large
 LARGE = 1 << 17  # select-large's n, for the session and filter steps
 WIRES = (100, 20000, 32768)  # a small-many size; C8's widest networks
 SAMPLES = 15  # timed samples per size
-COLD_SAMPLES = 5  # timed samples per cold network, which take up to seconds
+INV_N = 1 << 15  # C8's largest controlled_inv inputs
+INVS = (16, 4096)
+SLOW_SAMPLES = 5  # timed samples per step that takes up to seconds
 SAMPLE_S = 0.05  # seconds of repetitions per sample
 
 
@@ -59,7 +64,7 @@ def main() -> int:
     import numpy as np
 
     from fragility import generators, primitives
-    from fragility.harness import _measured_disorder, _oracle_order
+    from fragility.harness import ExperimentSpec, _measured_disorder, _oracle_order, run_experiment
     from fragility.ledger import new_session
     from fragility.selection import _filter_at_most
 
@@ -90,9 +95,17 @@ def main() -> int:
     for m in WIRES:
         ledger, ids = new_session(generators.gen_random(m, np.random.default_rng(m)))
         build = cold(lambda: primitives.build_schedule(m))
-        out["build_schedule"][str(m)] = time_step(build, COLD_SAMPLES)
+        out["build_schedule"][str(m)] = time_step(build, SLOW_SAMPLES)
         sort = cold(lambda: primitives.network_sort(ledger, ids))
-        out["network_sort"][str(m)] = time_step(sort, COLD_SAMPLES)
+        out["network_sort"][str(m)] = time_step(sort, SLOW_SAMPLES)
+
+    out["gen_controlled_inv"] = {}
+    for inv in INVS:
+        decode = lambda: generators.gen_controlled_inv(INV_N, inv, np.random.default_rng(inv))
+        out["gen_controlled_inv"][f"{INV_N}/inv={inv}"] = time_step(decode, SLOW_SAMPLES)
+    spec = ExperimentSpec(algorithm="offset_search", generator="uniform_ranks", n=1024,
+                          searches=10_000, trials=1, seed=3)
+    out["offset_search"] = {"1024x10000": time_step(lambda: run_experiment(spec), SLOW_SAMPLES)}
     print(json.dumps(out))
     return 0
 

@@ -425,15 +425,13 @@ def _column_search(
 ) -> int:
     """Largest column index whose element is < e, or -1.
 
-    Doubling steps outward from j0, then binary search; outcomes are memoized
-    so no column element is compared with e more than once.
+    Doubling steps outward from j0, then binary search.  No column element is
+    compared with e twice: the doubling probes j0 +- 2^i are distinct, and the
+    binary search probes only strictly between two bounds already probed.
     """
-    memo: dict[int, bool] = {}
 
     def below(j: int) -> bool:
-        if j not in memo:
-            memo[j] = ledger.less(col[j], e)
-        return memo[j]
+        return ledger.less(col[j], e)
 
     n = len(col)
     if n == 0:
@@ -441,24 +439,18 @@ def _column_search(
     j0 = min(max(j0, 0), n - 1)
     if below(j0):
         # answer is at or right of j0: double until a non-below probe
-        lo, hi = j0, n  # col[lo] < e; col[hi..] unknown/>=
         step = 1
-        while lo + step < n and below(lo + step):
+        while j0 + step < n and below(j0 + step):
             step *= 2
-        hi = min(lo + step, n)
-        lo = lo + step // 2 if step > 1 else lo
+        hi = min(j0 + step, n)
+        lo = j0 + step // 2
     else:
         # answer is left of j0
-        hi = j0
         step = 1
         while j0 - step >= 0 and not below(j0 - step):
             step *= 2
-        if j0 - step < 0:
-            lo_bound = -1
-        else:
-            lo_bound = j0 - step
-        lo = lo_bound
-        hi = j0 - step // 2 if step > 1 else j0
+        lo = max(j0 - step, -1)
+        hi = j0 - step // 2
     # invariant: col[lo] < e (or lo == -1), col[hi] >= e (or hi == n)
     while hi - lo > 1:
         mid = (lo + hi) // 2

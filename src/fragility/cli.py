@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, FragilityError
 from .harness import (
+    ALGORITHMS,
     SEQUENCE_GENERATORS,
     ExperimentSpec,
     Report,
@@ -59,22 +60,40 @@ def _cmd_run(args) -> int:
 
 
 def _read_report(path: str) -> Report:
+    """The report in ``path``: a spec mapping that names a known algorithm and
+    a non-empty list of row mappings, each with its ``trial``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return Report.from_json(fh.read())
+            report = Report.from_json(fh.read())
         except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, not a report
             raise ConfigError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
+    spec, rows = report.spec, report.rows
+    if not (isinstance(spec, dict) and isinstance(spec.get("algorithm"), str)
+            and spec["algorithm"] in ALGORITHMS):
+        problem = "its spec names no known algorithm"
+    elif not (isinstance(rows, list) and rows
+              and all(isinstance(row, dict) and "trial" in row for row in rows)):
+        problem = "its rows are not a non-empty list of trials"
+    elif not isinstance(report.aggregates, dict):
+        problem = "its aggregates are not a mapping"
+    else:
+        return report
+    raise ConfigError(f"malformed report {path}: {problem}")
 
 
 def _cmd_verify(args) -> int:
     report = _read_report(args.report)
-    names = args.bounds or default_bound_sets(report.spec.get("algorithm"))
-    if not names:
-        raise FragilityError(f"no bound sets apply to {report.spec.get('algorithm')!r}")
     all_ok = True
     lines = []
-    for name in names:
-        ok, verdicts = verify(report, name)
+    for name in args.bounds or default_bound_sets(report.spec["algorithm"]):
+        try:
+            ok, verdicts = verify(report, name)
+        except KeyError as exc:
+            raise ConfigError(f"malformed report {args.report}: a row lacks {exc}") from None
+        except TypeError as exc:
+            raise ConfigError(
+                f"malformed report {args.report}: a row value has the wrong type: {exc}"
+            ) from None
         all_ok = all_ok and ok
         for v in verdicts:
             trial = "-" if v["trial"] is None else v["trial"]

@@ -41,41 +41,13 @@ def gen_controlled_runs(n: int, runs: int, rng: np.random.Generator) -> list[int
     return out
 
 
-class _Fenwick:
-    """Order-statistics tree over values 0..n-1, each initially present."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            self.tree[i] += 1
-            j = i + (i & (-i))
-            if j <= n:
-                self.tree[j] += self.tree[i]
-
-    def pop_kth(self, k: int) -> int:
-        """Remove and return the k-th smallest (0-based) present value."""
-        pos = 0
-        rem = k + 1
-        log = self.n.bit_length()
-        for p in range(log, -1, -1):
-            nxt = pos + (1 << p)
-            if nxt <= self.n and self.tree[nxt] < rem:
-                pos = nxt
-                rem -= self.tree[pos]
-        val = pos  # 0-based value = 1-based index - 1 + 1... pos is count prefix
-        i = pos + 1
-        while i <= self.n:
-            self.tree[i] -= 1
-            i += i & (-i)
-        return val
-
-
 def gen_controlled_inv(n: int, inv: int, rng: np.random.Generator) -> list[int]:
-    """Exactly `inv` inversions via a random inversion table, Fenwick-decoded.
+    """Exactly `inv` inversions via a random inversion table.
 
     Entry c_i counts later-but-smaller partners of position i; any table with
     c_i <= n-1-i decodes to a unique permutation with sum(c) inversions.
+    Position i takes the c_i-th smallest value not yet used, popped from a
+    descending list of the remaining values: each pop moves only c_i entries.
     """
     max_inv = n * (n - 1) // 2
     if not (0 <= inv <= max_inv):
@@ -96,8 +68,8 @@ def gen_controlled_inv(n: int, inv: int, rng: np.random.Generator) -> list[int]:
             remaining -= add
             if remaining == 0:
                 break
-    tree = _Fenwick(n)
-    return [tree.pop_kth(c) for c in table]
+    rem = list(range(n - 1, -1, -1))
+    return [rem.pop(-1 - c) for c in table]
 
 
 def gen_lower_bound_instance(n: int, k: int, rng: np.random.Generator) -> list[int]:

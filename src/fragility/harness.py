@@ -32,7 +32,6 @@ from .primitives import (
     tournament_min,
 )
 from .search import (
-    SearchTrace,
     budget_per_element,
     build_offset_structure,
     exp_search,
@@ -422,7 +421,7 @@ def _search_runner(search):
 
 
 def _exp_search(ledger, view, queries, ranks, rng):
-    found = [exp_search(ledger, view, q).rank for q in queries]
+    found = [exp_search(ledger, view, q) for q in queries]
     # a query takes part only in its own search
     violations = [
         int(ledger.counts[q]) - exp_search_query_budget(int(k)) for q, k in zip(queries, ranks)
@@ -433,24 +432,22 @@ def _exp_search(ledger, view, queries, ranks, rng):
 
 def _offset_search(ledger, view, queries, ranks, rng):
     structure = build_offset_structure(view)
-    trace = SearchTrace(n=view.n, n_padded=structure.n_padded)
-    found = [offset_search(ledger, structure, q, trace=trace).rank for q in queries]
-    slack = budget_per_element(trace) - ledger.counts[: view.n]
-    rank_repeats = max(
-        (max((rec["ranks"].count(r) for r in set(rec["ranks"])), default=0)
-         for rec in trace.searches if rec.get("ranks")),
-        default=0,
-    )
+    found, rank_repeats = [], 0
+    for q in queries:
+        used: list[int] = []
+        found.append(offset_search(ledger, structure, q, used))
+        rank_repeats = max(rank_repeats, max(Counter(used).values(), default=0))
+    slack = budget_per_element(structure, found) - ledger.counts[: len(view)]
     return found, {
         "min_slack": float(slack.min()),
         "violations": int((slack < 0).sum()),
-        "max_rank_repeat": int(rank_repeats),
+        "max_rank_repeat": rank_repeats,
     }
 
 
 def _randomized_search(ledger, view, queries, ranks, rng):
-    found = [randomized_search(ledger, view, q, rng).rank for q in queries]
-    return found, {"mean_budget": calibration.randomized_mean_budget(view.n, len(queries))}
+    found = [randomized_search(ledger, view, q, rng) for q in queries]
+    return found, {"mean_budget": calibration.randomized_mean_budget(len(view), len(queries))}
 
 
 SEARCHES: dict[str, Callable] = {

@@ -80,8 +80,7 @@ def test_criterion_02_exp_search_rank_budget_full_sweep():
     violations = 0
     wrong = 0
     for k, q in enumerate(ids[n:], start=1):
-        res = exp_search(ledger, view, q)
-        if res.rank != k:
+        if exp_search(ledger, view, q) != k:
             wrong += 1
         if int(ledger.counts[q]) > exp_search_query_budget(k):
             violations += 1
@@ -115,13 +114,13 @@ def test_criterion_03_offset_search_amortized_budget():
     audited = [int(p) for p in rng.choice(n, size=16, replace=False)]
     audit_violations = 0
     for q in ids[n:]:
-        phi_before = {p: potential_audit(s, view.ids[p]).phi for p in audited}
+        phi_before = {p: potential_audit(s, p) for p in audited}
         counts_before = {p: int(ledger.counts[p]) for p in audited}
-        res = offset_search(ledger, s, q)
+        rank = offset_search(ledger, s, q)
         for p in audited:
             actual = int(ledger.counts[p]) - counts_before[p]
-            dphi = float(potential_audit(s, view.ids[p]).phi - phi_before[p])
-            if actual + dphi > AMORTIZED_BUDGET_PER_DISTANCE / distance_to(res, p) + 1e-9:
+            dphi = float(potential_audit(s, p) - phi_before[p])
+            if actual + dphi > AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, p) + 1e-9:
                 audit_violations += 1
     elapsed = time.monotonic() - start
     ok = bad_rows == 0 and wrong == 0 and audit_violations == 0 and elapsed <= 60

@@ -51,6 +51,17 @@ def test_controlled_inv_hits_target_exactly(n, inv, seed):
     assert _measured_disorder(vals)[1] == inv
 
 
+def test_controlled_inv_output_is_pinned():
+    """The decoded permutations at n = 4096, from Inv = 0 to the maximum."""
+    n = 4096
+    digest = hashlib.sha256()
+    for inv in (0, 16, 4096, 1 << 20, n * (n - 1) // 2):
+        for seed in range(3):
+            vals = generators.gen_controlled_inv(n, inv, np.random.default_rng(seed))
+            digest.update(repr(vals).encode())
+    assert digest.hexdigest() == "07deffec983685481d035e5ca42526f722d41a05f8303155ff524f9e808ca8d7"
+
+
 @settings(max_examples=80, deadline=None)
 @given(vals=st.lists(st.integers(-20, 20), max_size=150))
 def test_measured_disorder_matches_brute_force(vals):
@@ -498,13 +509,37 @@ def test_cli_run_rejects_a_malformed_spec_value(line, tmp_path, capsys):
     assert repr(key) in err and repr(value) in err
 
 
-@pytest.mark.parametrize("content", [b"not json", b'{"spec": {}', b"[1, 2]", b"{}", b"\xff\xfe"])
+@pytest.mark.parametrize("content", [
+    b"not json", b'{"spec": {}', b"[1, 2]", b"{}", b"\xff\xfe",
+    b'{"spec": [], "rows": []}',
+    b'{"spec": {"algorithm": "network_sort"}, "rows": [{}]}',
+    b'{"spec": {"algorithm": "network_sort"}, "rows": []}',
+    b'{"spec": {"algorithm": "network_sort"}, "rows": [{"trial": 0}], "aggregates": 5}',
+])
 def test_cli_rejects_a_malformed_report(content, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_bytes(content)
     assert cli.main(["verify", "--report", str(path)]) == 2
     assert cli.main(["report", str(path)]) == 2
     assert capsys.readouterr().err.count(f"malformed report {path}") == 2
+
+
+@pytest.mark.parametrize("value,message", [
+    (None, "a row lacks 'frag_max'"),
+    ("x", "a row value has the wrong type: '<=' not supported"),
+], ids=["missing", "a string"])
+def test_cli_verify_rejects_a_row_with_a_bad_bound_key(value, message, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.main(["run", "--algo", "min_by_runs", "--generator", "controlled_runs",
+                     "--n", "64", "--runs", "4", "--trials", "2", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    if value is None:
+        del payload["rows"][1]["frag_max"]
+    else:
+        payload["rows"][1]["frag_max"] = value
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--report", str(path)]) == 2
+    assert f"malformed report {path}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["exp_search", "offset_search", "randomized_search"])

@@ -1,17 +1,13 @@
 """Predecessor searchers, rotating offsets, and amortized accounting."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility.errors import UnknownElement
 from fragility.ledger import new_session
 from fragility.primitives import ceil_log2
 from fragility.search import (
     AMORTIZED_BUDGET_PER_DISTANCE,
-    PredecessorResult,
-    SearchTrace,
     budget_per_element,
     build_offset_structure,
     distance_to,
@@ -38,18 +34,12 @@ array_and_queries = st.tuples(
 )
 
 
-def test_predecessor_result_rank():
-    assert PredecessorResult(index=None).rank == 0
-    assert PredecessorResult(index=None).absent
-    assert PredecessorResult(index=4).rank == 5
-
-
 def test_distance_to_trivials():
     # query sits after its predecessor; distance is inclusive, minimum 1
-    assert distance_to(PredecessorResult(index=None), 0) == 1
-    assert distance_to(PredecessorResult(index=3), 3) == 1
-    assert distance_to(PredecessorResult(index=3), 0) == 4
-    assert distance_to(PredecessorResult(index=3), 9) == 6
+    assert distance_to(0, 0) == 1
+    assert distance_to(4, 3) == 1
+    assert distance_to(4, 0) == 4
+    assert distance_to(4, 9) == 6
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,8 +58,7 @@ def test_exp_search_query_budget_sweep_small():
     )
     for k, q in enumerate(qids, start=1):
         before = int(ledger.counts[q])
-        res = exp_search(ledger, view, q)
-        assert res.rank == k
+        assert exp_search(ledger, view, q) == k
         assert int(ledger.counts[q]) - before <= exp_search_query_budget(k)
 
 
@@ -87,9 +76,6 @@ def test_offset_structure_position_and_slots():
     ledger, view, _ = _session(list(range(16)), [3])
     s = build_offset_structure(view)
     assert s.n_padded == 16 and s.max_rank == 4
-    assert s.position_of(view.ids[5]) == 5
-    with pytest.raises(UnknownElement):
-        s.position_of(99)
     assert sum(len(row) for row in s.offsets) == 16 + 8 + 4 + 2 + 1
 
 
@@ -102,9 +88,9 @@ def test_offsets_rotate_between_identical_searches():
     structure = build_offset_structure(view)
     probe_sets = []
     for q in qids:
-        trace = SearchTrace(n=n, n_padded=structure.n_padded)
-        offset_search(ledger, structure, q, trace=trace)
-        probe_sets.append(tuple(trace.searches[-1]["compared"]))
+        counts_before = ledger.counts[:n].copy()
+        offset_search(ledger, structure, q)
+        probe_sets.append(tuple(np.flatnonzero(ledger.counts[:n] - counts_before).tolist()))
     assert len(set(probe_sets)) > 1
 
 
@@ -116,22 +102,17 @@ def test_offset_search_uses_each_rank_boundedly():
         [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
     )
     structure = build_offset_structure(view)
-    trace = SearchTrace(n=n, n_padded=structure.n_padded)
     for q, k in zip(qids, ranks):
-        res = offset_search(ledger, structure, q, trace=trace)
-        assert res.rank == int(k)
-    for rec in trace.searches:
-        ranks_used = rec["ranks"]
+        ranks_used = []
+        assert offset_search(ledger, structure, q, ranks_used) == int(k)
         assert max((ranks_used.count(r) for r in set(ranks_used)), default=0) <= 7
 
 
 def test_potential_audit_starts_at_full_debt():
     ledger, view, _ = _session(list(range(8)), [0])
     s = build_offset_structure(view)
-    audit = potential_audit(s, view.ids[0])
-    # element at position 0 with all offsets 0: t = 0 at every rank
-    assert audit.per_rank == {1: 0, 2: 0, 3: 0}
-    assert float(audit.phi) == 3.0
+    # position 0 with all offsets 0: t = 0 at every rank
+    assert potential_audit(s, 0) == 3
 
 
 def test_per_search_amortized_inequality_all_elements():
@@ -144,20 +125,19 @@ def test_per_search_amortized_inequality_all_elements():
     )
     s = build_offset_structure(view)
     for q in qids:
-        phi_before = [potential_audit(s, y).phi for y in view.ids]
+        phi_before = [potential_audit(s, pos) for pos in range(n)]
         counts_before = ledger.counts[:n].copy()
-        res = offset_search(ledger, s, q)
+        rank = offset_search(ledger, s, q)
         delta = ledger.counts[:n] - counts_before
-        for pos, y in enumerate(view.ids):
+        for pos in range(n):
             actual = int(delta[pos])
-            dphi = float(potential_audit(s, y).phi - phi_before[pos])
-            budget = AMORTIZED_BUDGET_PER_DISTANCE / distance_to(res, pos)
+            dphi = float(potential_audit(s, pos) - phi_before[pos])
+            budget = AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, pos)
             assert actual + dphi <= budget + 1e-9, (pos, actual, dphi, budget)
 
 
 def test_amortized_check_agrees_with_trace_counts():
-    """The trace's probed positions tally to the ledger's array counts, and the
-    amortized budget covers every one of them."""
+    """The amortized budget covers the ledger's count of every array element."""
     n = 64
     rng = np.random.default_rng(2)
     ranks = rng.integers(0, n + 1, size=200)
@@ -165,14 +145,8 @@ def test_amortized_check_agrees_with_trace_counts():
         [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
     )
     s = build_offset_structure(view)
-    trace = SearchTrace(n=n, n_padded=s.n_padded)
-    for q in qids:
-        offset_search(ledger, s, q, trace=trace)
-    tally = np.zeros(n, dtype=np.int64)
-    for rec in trace.searches:
-        np.add.at(tally, rec["compared"], 1)
-    assert tally.tolist() == ledger.counts[:n].tolist()
-    slack = budget_per_element(trace) - ledger.counts[:n]
+    found = [offset_search(ledger, s, q) for q in qids]
+    slack = budget_per_element(s, found) - ledger.counts[:n]
     assert (slack >= 0).all(), slack.min()
 
 
@@ -186,15 +160,12 @@ def test_budget_per_element_equals_the_per_position_sum():
             [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
         )
         s = build_offset_structure(view)
-        trace = SearchTrace(n=n, n_padded=s.n_padded)
-        for q in qids:
-            offset_search(ledger, s, q, trace=trace)
-        budget = budget_per_element(trace)
+        found = [offset_search(ledger, s, q) for q in qids]
+        budget = budget_per_element(s, found)
         for pos in {0, n - 1, *rng.integers(0, n, size=8).tolist()}:
             expected = float(ceil_log2(s.n_padded))
-            for rec in trace.searches:
-                res = PredecessorResult(index=rec["result"])
-                expected += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(res, pos)
+            for rank in found:
+                expected += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, pos)
             assert budget[pos] == expected, (n, pos)
 
 

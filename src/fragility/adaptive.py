@@ -46,21 +46,20 @@ class RunDecomposition:
 
 
 def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> RunDecomposition:
-    """One scan; each element is compared only with its two neighbours."""
+    """One batch of neighbour comparisons; each element meets only its two
+    neighbours.  A strict descent (``less(ids[i], ids[i - 1])``) ends a run."""
     ids = list(seq)
     if not ids:
         raise EmptyInput("run decomposition of empty input")
-    runs: list[tuple[int, int]] = []
-    heads: list[int] = []
-    start = 0
-    for i in range(1, len(ids)):
-        if ledger.less(ids[i], ids[i - 1]):  # strict descent ends the run
-            runs.append((start, i - start))
-            heads.append(ids[start])
-            start = i
-    runs.append((start, len(ids) - start))
-    heads.append(ids[start])
-    return RunDecomposition(runs=runs, heads=heads)
+    idx = np.array(ids, dtype=np.intp)
+    signs = ledger.compare_batch(idx[1:], idx[:-1])
+    descents = (signs < 0) | ((signs == 0) & (idx[1:] < idx[:-1]))
+    starts = [0, *(np.flatnonzero(descents) + 1).tolist()]
+    ends = starts[1:] + [len(ids)]
+    return RunDecomposition(
+        runs=[(s, e - s) for s, e in zip(starts, ends)],
+        heads=[ids[s] for s in starts],
+    )
 
 
 # strict upper triangle: mask[i, j] is set where position i precedes j
@@ -75,12 +74,15 @@ def count_permutation_inversions(perm: np.ndarray) -> int:
     to a power of two with the sentinel n.  Sentinels only follow real values
     and are equal to each other, so no pair involving one is an inversion.
 
-    First, one pairwise count under the strict-upper-triangle mask covers
-    every block of 32 positions (at n = 2^17 the harness oracle took 15.8 ms
-    with it, 20.7 ms with 8- or 16-wide blocks and 17.8 ms with 64), or
-    the whole padded array when it holds at most 128 (at n = 100 that is about
-    three times faster than 8-wide blocks and four merge levels).  Then each
-    level pairs two sorted halves of width w into a row
+    First, a padded array of at most 128 values is counted whole, by one
+    pairwise comparison under the strict-upper-triangle mask (at n = 100 about
+    three times faster than 8-wide blocks and four merge levels).  A longer
+    one is cut into blocks of 32 and stored one column per block, so that the
+    pairs d apart within every block are two contiguous slices: one compare
+    per offset d = 1..31 counts them all (at n = 2^17 this base step takes
+    about 0.6 ms and at most 128 KB at a time, where one 32x32 pairwise cube
+    over all blocks took 2.3 ms and 4 MB).  Then each level pairs two
+    sorted halves of width w into a row
     of 2w tags ``(value << 1) | half`` and sorts the rows; equal values (only
     sentinels) put the left half first.  In a row, the j-th right-half tag at
     position p follows p - j left-half values, so the other w - (p - j) left
@@ -94,11 +96,16 @@ def count_permutation_inversions(perm: np.ndarray) -> int:
     dtype = np.int32 if 2 * n + 1 <= np.iinfo(np.int32).max else np.int64
     a = np.full(padded, n, dtype=dtype)
     a[:n] = perm
-    w = padded if padded <= _UPPER.shape[0] else _BASE_WIDTH
-    cols = a.reshape(-1, w).T.copy()  # one column per block: long inner loops
-    above = cols[:, None] > cols
-    above &= _UPPER[:w, :w, None]
-    inv = int(np.count_nonzero(above))
+    if padded <= _UPPER.shape[0]:
+        w = padded
+        inv = int(np.count_nonzero((a[:, None] > a) & _UPPER[:w, :w]))
+    else:
+        w = _BASE_WIDTH
+        blocks = padded // w
+        cols = a.reshape(blocks, w).T.ravel()  # position i of block b at i*blocks + b
+        inv = 0
+        for end in range(padded - blocks, 0, -blocks):  # offsets d = 1..w-1
+            inv += int(np.count_nonzero(cols[:end] > cols[padded - end :]))
     a.reshape(-1, w).sort(axis=1)
     a <<= 1
     while w < padded:

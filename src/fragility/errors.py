@@ -25,5 +25,9 @@ class InfeasibleTarget(FragilityError):
     """A generator target (Inv, Runs, ...) cannot be realized at this size."""
 
 
+class CountMismatch(FragilityError):
+    """A ledger's per-element counts do not sum to twice its total."""
+
+
 class ConfigError(FragilityError):
     """An experiment spec or CLI invocation is inconsistent."""

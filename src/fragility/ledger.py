@@ -135,16 +135,20 @@ class ComparisonLedger:
         Semantically identical to calling :meth:`compare` per pair; used by
         comparator-network application and sample filtering where Python-level
         loops would dominate the runtime.  ``b_indices`` is an array of the
-        same length, or a single id compared with every element of
-        ``a_indices``, whose count then rises by ``a_indices.size``.
+        same shape, or a single id (a scalar, not a length-1 array) compared
+        with every element of ``a_indices``, whose count then rises by
+        ``a_indices.size``.
         """
         a_indices = np.asarray(a_indices, dtype=np.intp)
         b_indices = np.asarray(b_indices, dtype=np.intp)
+        if b_indices.ndim and b_indices.shape != a_indices.shape:
+            raise ValueError(
+                f"b_indices of shape {b_indices.shape} does not pair with"
+                f" a_indices of shape {a_indices.shape}"
+            )
         n = len(self._values)
-        if a_indices.size:
-            if a_indices.min() < 0 or a_indices.max() >= n:
-                raise UnknownElement("batch index outside session")
-            if b_indices.min() < 0 or b_indices.max() >= n:
+        for idx in (a_indices, b_indices):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise UnknownElement("batch index outside session")
         if np.any(a_indices == b_indices):
             raise SelfComparison("batch contains a self-comparison")

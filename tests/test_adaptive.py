@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fragility import generators
 from fragility.adaptive import (
+    PHASE_SCAN,
     count_permutation_inversions,
     count_runs,
     extract_sorted_run,
@@ -277,3 +278,39 @@ def test_count_permutation_inversions_at_two_to_the_17(n):
     assert count_permutation_inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
     perm = np.random.default_rng(n).permutation(n)
     assert count_permutation_inversions(perm) == _merge_count(perm.tolist())[1]
+
+
+def _scalar_count_runs(ledger, ids):
+    """count_runs as a scan of scalar neighbour comparisons."""
+    runs, heads, start = [], [], 0
+    for i in range(1, len(ids)):
+        if ledger.less(ids[i], ids[i - 1]):
+            runs.append((start, i - start))
+            heads.append(ids[start])
+            start = i
+    runs.append((start, len(ids) - start))
+    heads.append(ids[start])
+    return runs, heads
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=20),
+    ),
+    data=st.data(),
+)
+def test_count_runs_batch_matches_a_scalar_scan(values, data):
+    """The one batch compares the same neighbour pairs as a scalar scan."""
+    ids = data.draw(st.permutations(range(len(values))))
+    batch, _ = new_session(values)
+    scalar, _ = new_session(values)
+    with batch.in_phase(PHASE_SCAN):
+        dec = count_runs(batch, ids)
+    with scalar.in_phase(PHASE_SCAN):
+        expected = _scalar_count_runs(scalar, ids)
+    assert (dec.runs, dec.heads) == expected
+    assert batch.counts.tolist() == scalar.counts.tolist()
+    assert batch.phase_counts(PHASE_SCAN).tolist() == scalar.phase_counts(PHASE_SCAN).tolist()
+    assert batch.total == scalar.total == len(ids) - 1

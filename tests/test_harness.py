@@ -4,14 +4,16 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility import cli, generators
-from fragility.errors import ConfigError, InfeasibleTarget
+from fragility import cli, generators, harness
+from fragility.errors import ConfigError, CountMismatch, InfeasibleTarget
 from fragility.harness import (
     ALGORITHMS,
     BOUND_SETS,
@@ -27,7 +29,7 @@ from fragility.harness import (
     _measured_disorder,
     _oracle_order,
 )
-from fragility.ledger import new_session
+from fragility.ledger import ComparisonLedger, new_session
 
 # ---------------------------------------------------------------------------
 # generators
@@ -265,6 +267,85 @@ def test_run_experiment_is_byte_identical():
     assert len(payload["rows"]) == 5
     assert payload["aggregates"]["correct_fraction"] == 1.0
     assert [row["trial"] for row in payload["rows"]] == list(range(5))
+
+
+class _DroppingLedger(ComparisonLedger):
+    """A ledger that leaves one comparison's pair of counts unrecorded."""
+
+    __slots__ = ("dropped",)
+
+    def compare(self, a, b):
+        out = super().compare(a, b)
+        if not getattr(self, "dropped", False):
+            self.dropped = True
+            self.counts[a] -= 1
+            self.counts[b] -= 1
+        return out
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(algorithm="tournament_min", n=64, trials=1),
+    ExperimentSpec(algorithm="exp_search", n=64, searches=10, trials=1),
+], ids=["ordering", "search"])
+def test_runner_raises_when_the_counts_miss_a_comparison(spec, monkeypatch):
+    def dropping_session(values):
+        ledger = _DroppingLedger(values)
+        return ledger, ledger.ids()
+
+    monkeypatch.setattr(harness, "new_session", dropping_session)
+    with pytest.raises(CountMismatch) as info:
+        run_experiment(spec)
+    sums = re.fullmatch(r"the per-element counts sum to (\d+), not 2 \* total = (\d+)", str(info.value))
+    assert int(sums[1]) == int(sums[2]) - 2
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(algorithm="sort_by_inv", generator="controlled_inv", n=harness.OVERLAP_MIN_N + 1,
+                   inv=300, trials=2, seed=4),
+    ExperimentSpec(algorithm="median_by_runs", generator="controlled_runs",
+                   n=harness.OVERLAP_MIN_N + 1, runs=5, trials=2, seed=4),
+], ids=["sort_by_inv", "median_by_runs"])
+def test_overlapped_oracle_rows_equal_inline_rows(spec, monkeypatch):
+    started = []
+
+    class Recording(harness._OracleThread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(harness, "_OracleThread", Recording)
+    overlapped = run_experiment(spec).to_json()
+    assert len(started) == spec.trials
+    monkeypatch.setattr(harness, "OVERLAP_MIN_N", spec.n + 1)
+    assert run_experiment(spec).to_json() == overlapped
+    assert len(started) == spec.trials  # the second run kept the oracle inline
+
+
+def test_a_raising_large_trial_leaves_no_thread(tmp_path, capsys):
+    threads = threading.active_count()
+    n = harness.OVERLAP_MIN_N
+    spec = ExperimentSpec(algorithm="median_two_runs", generator="random", n=n, trials=1)
+    with pytest.raises(ConfigError, match="two-run input"):
+        run_experiment(spec)
+    assert threading.active_count() == threads
+    assert cli.main(["run", "--algo", "median_two_runs", "--generator", "random",
+                     "--n", str(n), "--trials", "1",
+                     "--out", str(tmp_path / "report.json")]) == 2
+    assert "two-run input" in capsys.readouterr().err
+    assert threading.active_count() == threads
+
+
+def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch):
+    def fail(arr):
+        raise ZeroDivisionError("oracle")
+
+    monkeypatch.setattr(harness, "_oracle", fail)
+    monkeypatch.setattr(harness, "OVERLAP_MIN_N", 64)
+    threads = threading.active_count()
+    spec = ExperimentSpec(algorithm="tournament_min", n=64, trials=1)
+    with pytest.raises(ZeroDivisionError, match="oracle"):
+        run_experiment(spec)
+    assert threading.active_count() == threads
 
 
 def _pinned_specs():

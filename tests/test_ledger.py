@@ -387,7 +387,13 @@ def test_compare_batch_with_a_single_id_rejects_bad_ids(values):
     ledger, _ = new_session(values)
     with pytest.raises(SelfComparison):
         ledger.compare_batch(np.array([0, 1]), 1)
+    # a length-1 array is not a single id: it would be counted only once
+    with pytest.raises(ValueError):
+        ledger.compare_batch(np.array([0, 1]), np.array([2]))
     for z in (3, -1):
         with pytest.raises(UnknownElement):
             ledger.compare_batch(np.array([0, 1]), z)
+        with pytest.raises(UnknownElement):  # also with nothing to compare it with
+            ledger.compare_batch(np.array([], dtype=np.intp), z)
     assert ledger.total == 0 and ledger.counts.tolist() == [0, 0, 0]
+

@@ -16,7 +16,6 @@ from .errors import (
 )
 from .ledger import (
     ComparisonLedger,
-    FragilityProfile,
     Ordering,
     audit_sorted,
     new_session,
@@ -27,7 +26,6 @@ __all__ = [
     "ConfigError",
     "EmptyInput",
     "FragilityError",
-    "FragilityProfile",
     "InfeasibleTarget",
     "Ordering",
     "RankOutOfRange",

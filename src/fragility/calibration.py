@@ -3,9 +3,11 @@
 The adaptive median and sort replace the Theta(log n)-fragility sorting
 network of the literature with the Batcher network, so their measured
 envelopes carry squared logarithmic factors.  The constants below were
-measured once with scripts/calibrate.py (n = 2^15, 50 seeds per bucket,
-controlled-disorder generators) and then frozen; verifiers and acceptance
-tests assert against them, they are never fitted at test time.
+measured once (n = 2^15, 50 seeds per bucket, controlled-disorder
+generators) and then frozen; verifiers and acceptance tests assert against
+them, they are never fitted at test time.  Each envelope is linear in its
+constant, so ``fragility sweep`` re-measures one as the frozen value times
+the largest ``value / limit`` ratio it prints for that bound.
 """
 
 from __future__ import annotations

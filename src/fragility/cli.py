@@ -1,4 +1,4 @@
-"""Command-line interface: generate inputs, run experiments, verify bounds.
+"""Command-line interface: generate inputs, run experiments and sweeps, verify bounds.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on configuration
 errors (bad flags, infeasible targets, malformed spec files or reports).
@@ -7,7 +7,10 @@ errors (bad flags, infeasible targets, malformed spec files or reports).
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,6 +25,7 @@ from .harness import (
     aggregate_reports,
     default_bound_sets,
     generate,
+    read_spec_file,
     run_experiment,
     verify,
 )
@@ -35,26 +39,25 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _spec_flags(args) -> dict:
+    """The spec flags that were set, as the strings given."""
+    fields = ExperimentSpec.__dataclass_fields__
+    return {key: value for key, value in vars(args).items() if key in fields and value is not None}
+
+
 def _cmd_generate(args) -> int:
-    # the flags are a spec's generator fields, with the CLI's own defaults
-    vals = generate(args, np.random.default_rng(args.seed))
+    # network_sort takes every sequence generator: unset fields fill in as in `run`
+    spec = ExperimentSpec.from_mapping({"algorithm": "network_sort", **_spec_flags(args)})
+    vals = generate(spec, np.random.default_rng(spec.seed))
     _write(args.out, "\n".join(str(v) for v in vals) + "\n")
     return 0
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    if args.spec:
-        return ExperimentSpec.from_file(args.spec)
-    fields = ExperimentSpec.__dataclass_fields__
-    mapping = {key: value for key, value in vars(args).items() if key in fields and value is not None}
-    if "algorithm" not in mapping:
-        raise FragilityError("either --spec or --algo is required")
-    return ExperimentSpec.from_mapping(mapping)
-
-
 def _cmd_run(args) -> int:
-    spec = _spec_from_args(args)
-    report = run_experiment(spec)
+    mapping = read_spec_file(args.spec) if args.spec else _spec_flags(args)
+    if "algorithm" not in mapping and not args.spec:
+        raise FragilityError("either --spec or --algo is required")
+    report = run_experiment(ExperimentSpec.from_mapping(mapping))
     _write(args.out, report.to_csv() if args.format == "csv" else report.to_json())
     return 0
 
@@ -81,26 +84,27 @@ def _read_report(path: str) -> Report:
     raise ConfigError(f"malformed report {path}: {problem}")
 
 
+def _verdicts(report: Report, names, path: str) -> list[tuple[str, list[dict]]]:
+    """Each named bound set with its verdicts.  A row that lacks a key a bound
+    reads, or holds a value of the wrong type, makes ``path`` malformed."""
+    try:
+        return [(name, verify(report, name)[1]) for name in names]
+    except KeyError as exc:
+        raise ConfigError(f"malformed report {path}: a row lacks {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"malformed report {path}: a row value has the wrong type: {exc}") from None
+
+
 def _cmd_verify(args) -> int:
     report = _read_report(args.report)
-    all_ok = True
-    lines = []
-    for name in args.bounds or default_bound_sets(report.spec["algorithm"]):
-        try:
-            ok, verdicts = verify(report, name)
-        except KeyError as exc:
-            raise ConfigError(f"malformed report {args.report}: a row lacks {exc}") from None
-        except TypeError as exc:
-            raise ConfigError(
-                f"malformed report {args.report}: a row value has the wrong type: {exc}"
-            ) from None
-        all_ok = all_ok and ok
+    names = args.bounds or default_bound_sets(report.spec["algorithm"])
+    lines, all_ok = [], True
+    for name, verdicts in _verdicts(report, names, args.report):
         for v in verdicts:
+            all_ok = all_ok and v["passed"]
             trial = "-" if v["trial"] is None else v["trial"]
-            lines.append(
-                f"{'PASS' if v['passed'] else 'FAIL'} {name} {v['bound']} "
-                f"trial={trial} slack={v['slack']:.4g}"
-            )
+            lines.append(f"{'PASS' if v['passed'] else 'FAIL'} {name} {v['bound']} "
+                         f"trial={trial} slack={v['slack']:.4g}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
@@ -111,6 +115,70 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _expand(path: str) -> list[tuple[str, dict, ExperimentSpec]]:
+    """(report name, varied keys, spec) of each combination of the file's
+    comma-separated list values, the first listed key varying slowest."""
+    lists = {key: [v.strip() for v in value.split(",")] for key, value in read_spec_file(path).items()}
+    varied = [key for key, values in lists.items() if len(values) > 1]
+    stem = os.path.splitext(os.path.basename(path))[0]
+    out = []
+    for combo in itertools.product(*lists.values()):
+        try:
+            spec = ExperimentSpec.from_mapping(dict(zip(lists, combo)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        values = {key: getattr(spec, key) for key in varied}
+        out.append((stem + "".join(f"-{k}={v}" for k, v in values.items()) + ".json", values, spec))
+    return out
+
+
+def _bound_summary(verdicts: list[dict]) -> dict:
+    """Each bound's verdicts as ``passed``, ``min_slack`` and the largest
+    ``value / limit`` where ``limit > 0`` (None if there is none)."""
+    by_bound: dict = {}
+    for v in verdicts:
+        by_bound.setdefault(v["bound"], []).append(v)
+    return {bound: {"passed": all(v["passed"] for v in vs), "min_slack": min(v["slack"] for v in vs),
+                    "max_ratio": max((v["value"] / v["limit"] for v in vs if v["limit"] > 0),
+                                     default=None)}
+            for bound, vs in by_bound.items()}
+
+
+def _cmd_sweep(args) -> int:
+    jobs = [(path, *job) for path in args.files for job in _expand(path)]
+    if len({name for _, name, _, _ in jobs}) < len(jobs):
+        raise ConfigError("two combinations share a report name: rename a file or drop a repeat")
+    if args.outdir:
+        os.makedirs(args.outdir, exist_ok=True)
+    all_ok = True
+    for path, name, varied, spec in jobs:
+        report = run_experiment(spec)
+        if args.outdir:
+            _write(os.path.join(args.outdir, name), report.to_json())
+        bounds = dict(_verdicts(report, default_bound_sets(spec.algorithm), path))
+        all_ok = all_ok and all(v["passed"] for vs in bounds.values() for v in vs)
+        rows = report.rows
+        means = {key: sum(row[key] for row in rows) / len(rows) for key, value in rows[0].items()
+                 if type(value) in (int, float) and key not in ("trial", "seed")}
+        line = {"file": path, "varied": varied, "aggregates": report.aggregates, "means": means,
+                "bounds": {bound_set: _bound_summary(vs) for bound_set, vs in bounds.items()}}
+        print(json.dumps(line, sort_keys=True), flush=True)
+    return 0 if all_ok else 1
+
+
+def _add_spec_flags(parser, names, **choices) -> None:
+    """One flag per ExperimentSpec field in ``names``.  An unset flag is None,
+    and ``ExperimentSpec.from_mapping`` reads the strings given and fills in
+    the spec's defaults."""
+    for name in names:
+        if name == "duplicates":
+            parser.add_argument("--duplicates", action="store_const", const=True)
+        else:
+            flag = "--algo" if name == "algorithm" else f"--{name}"
+            parser.add_argument(flag, dest=name, choices=choices.get(name))
+
+
+@functools.cache  # a parser keeps no state between parses, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fragility", description="fragile-complexity experiment harness"
@@ -118,32 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit an input sequence")
-    gen.add_argument("--generator", default="random", choices=list(SEQUENCE_GENERATORS))
-    gen.add_argument("--n", type=int, default=1024)
-    gen.add_argument("--runs", type=int, default=2)
-    gen.add_argument("--inv", type=int, default=0)
-    gen.add_argument("--split", type=int, default=None)
-    gen.add_argument("--k", type=int, default=0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--duplicates", action="store_true")
+    _add_spec_flags(gen, ("generator", "n", "runs", "inv", "split", "k", "seed", "duplicates"),
+                    generator=list(SEQUENCE_GENERATORS))
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run an experiment and emit a report")
     run.add_argument("--spec", default=None, help="key=value spec file")
-    run.add_argument("--algo", dest="algorithm", metavar="ALGO", default=None)
-    run.add_argument("--generator", default="random")
-    run.add_argument("--n", type=int, default=1024)
-    run.add_argument("--trials", type=int, default=10)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--runs", type=int, default=None)
-    run.add_argument("--inv", type=int, default=None)
-    run.add_argument("--split", type=int, default=None)
-    run.add_argument("--k", type=int, default=None)
-    run.add_argument("--searches", type=int, default=1000)
-    run.add_argument("--epsilon", type=float, default=0.01)
-    run.add_argument("--backend", default="network")
-    run.add_argument("--duplicates", action="store_true")
+    _add_spec_flags(run, ExperimentSpec.__dataclass_fields__)
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.set_defaults(func=_cmd_run)
@@ -164,12 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=_cmd_report)
 
+    swp = sub.add_parser("sweep", help="run every combination of spec files' list values")
+    swp.add_argument("files", nargs="+", metavar="FILE")
+    swp.add_argument("--outdir", default=None, help="also write each report here")
+    swp.set_defaults(func=_cmd_sweep)
+
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FragilityError, OSError) as exc:

@@ -58,6 +58,8 @@ def child_seed(seed: int, trial: int) -> int:
 
 # the spellings of a bool that a spec file may use
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# a spec field's type -> how a string of that type reads
+_READERS = {"int": int, "Optional[int]": int, "float": float, "bool": lambda s: _BOOLS[s.lower()]}
 
 
 @dataclass
@@ -104,9 +106,6 @@ class ExperimentSpec:
         if self.inv is not None and not (0 <= self.inv <= self.n * (self.n - 1) // 2):
             raise ConfigError(f"inv={self.inv} infeasible for n={self.n}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
         kwargs = {}
@@ -115,14 +114,9 @@ class ExperimentSpec:
             if key not in fields:
                 raise ConfigError(f"unknown spec key {key!r}")
             typ = fields[key].type
-            if isinstance(raw, str):
+            if isinstance(raw, str) and typ in _READERS:
                 try:
-                    if typ in ("int", "Optional[int]"):
-                        raw = int(raw)
-                    elif typ == "float":
-                        raw = float(raw)
-                    elif typ == "bool":
-                        raw = _BOOLS[raw.lower()]
+                    raw = _READERS[typ](raw)
                 except (KeyError, ValueError):
                     raise ConfigError(f"spec key {key!r}: cannot read {raw!r} as {typ}") from None
             kwargs[key] = raw
@@ -132,19 +126,21 @@ class ExperimentSpec:
         spec.validate()
         return spec
 
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentSpec":
-        mapping: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+
+def read_spec_file(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a spec file, as strings; blank lines and
+    ``#`` comments are skipped."""
+    mapping: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            mapping[key.strip()] = value.strip()
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +169,10 @@ SEQUENCE_GENERATORS: dict[str, Callable] = {
 }
 
 
-def generate(spec, rng: np.random.Generator) -> list[int] | np.ndarray:
+def generate(spec: ExperimentSpec, rng: np.random.Generator) -> list[int] | np.ndarray:
     """The payloads of ``spec``'s sequence generator, collapsed to pairs of
     ties when ``spec.duplicates`` is set: a list, or the array that
-    ``gen_random`` returns.
-
-    Reads only ``generator``, ``n``, ``runs``, ``inv``, ``split``, ``k`` and
-    ``duplicates``, so the CLI passes its parsed flags.
-    """
+    ``gen_random`` returns."""
     vals = SEQUENCE_GENERATORS[spec.generator](spec, rng)
     return generators.with_duplicates(vals) if spec.duplicates else vals
 
@@ -570,22 +562,21 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         row["trial"] = trial
         row["seed"] = seed
         rows.append(row)
-    return Report(spec=spec.to_dict(), rows=rows, aggregates=_aggregate(rows))
+    return Report(spec=asdict(spec), rows=rows, aggregates=_aggregate(rows))
 
 
 # ---------------------------------------------------------------------------
 # bound verification
 
 
-def _verdict(bound: str, trial, passed: bool, slack: float) -> dict:
-    return {"bound": bound, "trial": trial, "passed": bool(passed), "slack": float(slack)}
+def _verdict(bound: str, trial, value, limit) -> dict:
+    return {"bound": bound, "trial": trial, "value": value, "limit": limit,
+            "passed": bool(value <= limit), "slack": float(limit - value)}
 
 
 def _check_correct(report):
-    return [
-        _verdict("matches-oracle", row["trial"], bool(row["correct"]), 0.0 if row["correct"] else -1.0)
-        for row in report.rows
-    ]
+    return [_verdict("matches-oracle", row["trial"], 0 if row["correct"] else 1, 0)
+            for row in report.rows]
 
 
 def _check_select(report):
@@ -598,9 +589,9 @@ def _check_select(report):
         ks = Counter(max(row["k"], 1) for row in sampled)
         bound = sum(c / len(sampled) * 1.2 * k * (k + 1) for k, c in ks.items())
         mean_sp = sum(row["Sprime_size"] for row in sampled) / len(sampled)
-        out.append(_verdict("mean-filtered-size", None, mean_sp <= bound, bound - mean_sp))
+        out.append(_verdict("mean-filtered-size", None, mean_sp, bound))
         mean_pre = sum(row["fragility_of_selected_pre"] for row in sampled) / len(sampled)
-        out.append(_verdict("mean-selected-pre-fragility", None, mean_pre <= 8, 8 - mean_pre))
+        out.append(_verdict("mean-selected-pre-fragility", None, mean_pre, 8))
     return out
 
 
@@ -615,8 +606,7 @@ def _row_bounds(*bounds, oracle: bool = False) -> Callable:
         out = _check_correct(report) if oracle else []
         for row in report.rows:
             for name, value, limit in bounds:
-                v, lim = value(row), limit(row)
-                out.append(_verdict(name, row["trial"], v <= lim, lim - v))
+                out.append(_verdict(name, row["trial"], value(row), limit(row)))
         return out
 
     return check

@@ -14,9 +14,8 @@ checks never distort the measured comparison counts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,17 +26,6 @@ class Ordering(IntEnum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-
-
-@dataclass
-class FragilityProfile:
-    """Snapshot of per-element comparison counts with aggregates."""
-
-    per_element: dict[int, int]
-    max: int
-    mean: float
-    by_role: dict[str, tuple[int, float]] = field(default_factory=dict)
-    phase: Optional[str] = None
 
 
 class ComparisonLedger:
@@ -85,10 +73,6 @@ class ComparisonLedger:
         self._phase_counts: dict[str, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self._values)
 
     def ids(self) -> range:
         return range(len(self._values))
@@ -176,12 +160,6 @@ class ComparisonLedger:
             return Ordering.GREATER
         return Ordering.EQUAL
 
-    def audit_less(self, a: int, b: int) -> bool:
-        order = self.audit_compare(a, b)
-        if order is Ordering.EQUAL:
-            return a < b
-        return order is Ordering.LESS
-
     def payload(self, a: int):
         """Audit-only payload access for oracles and verifiers."""
         if not (0 <= a < len(self._values)):
@@ -207,25 +185,6 @@ class ComparisonLedger:
 
     def phase_counts(self, name: str) -> np.ndarray:
         return self._phase_counts.get(name, np.zeros(len(self._values), dtype=np.int64))
-
-    # -- profiling -------------------------------------------------------
-
-    def profile(
-        self,
-        role_map: Optional[Mapping[int, str]] = None,
-        phase: Optional[str] = None,
-    ) -> FragilityProfile:
-        counts = self.counts if phase is None else self.phase_counts(phase)
-        per_element = {i: int(c) for i, c in enumerate(counts)}
-        mx = int(counts.max()) if len(counts) else 0
-        mean = float(counts.mean()) if len(counts) else 0.0
-        by_role: dict[str, tuple[int, float]] = {}
-        if role_map:
-            grouped: dict[str, list[int]] = {}
-            for eid, role in role_map.items():
-                grouped.setdefault(role, []).append(int(counts[eid]))
-            by_role = {r: (max(v), sum(v) / len(v)) for r, v in grouped.items()}
-        return FragilityProfile(per_element=per_element, max=mx, mean=mean, by_role=by_role, phase=phase)
 
 
 def _tally(counts: np.ndarray, a_indices: np.ndarray, b_indices: np.ndarray) -> None:

@@ -214,11 +214,3 @@ def budget_per_element(s: OffsetSearchStructure, ranks: Sequence[int]) -> np.nda
         budget += AMORTIZED_BUDGET_PER_DISTANCE / d
     return budget
 
-
-def predecessor_oracle(ledger: ComparisonLedger, view: tuple[int, ...], query: int) -> int:
-    """Linear-scan audit-mode oracle: the query's rank in the view."""
-    rank = 0
-    for pos, e in enumerate(view):
-        if ledger.audit_compare(e, query) is Ordering.LESS:
-            rank = pos + 1
-    return rank

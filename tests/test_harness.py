@@ -24,6 +24,7 @@ from fragility.harness import (
     aggregate_reports,
     child_seed,
     default_bound_sets,
+    read_spec_file,
     run_experiment,
     verify,
     _measured_disorder,
@@ -245,12 +246,12 @@ def test_spec_from_file(tmp_path):
         "n = 256\nruns = 4\ntrials=2\n\n",
         encoding="utf-8",
     )
-    spec = ExperimentSpec.from_file(str(path))
+    spec = ExperimentSpec.from_mapping(read_spec_file(str(path)))
     assert spec.algorithm == "min_by_runs" and spec.runs == 4 and spec.n == 256
     bad = tmp_path / "bad.spec"
     bad.write_text("algorithm min_by_runs\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        ExperimentSpec.from_file(str(bad))
+        ExperimentSpec.from_mapping(read_spec_file(str(bad)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +545,18 @@ def test_cli_generate_output_is_pinned(capsys):
             assert cli.main(["generate", "--generator", generator, "--n", "50", *extra]) == 0
             outputs.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
-    assert digest == "4a7debba2525a384ec75b39971578a69ea4fe398257cd377c91bf21f5ad5e23f"
+    assert digest == "e2185aad5f0be04ca4d093f3f4bf8ccd3a6300bfb2bcec566b4b19ad32b6713e"
+
+
+@pytest.mark.parametrize("generator,key", [("controlled_inv", "inv"), ("lower_bound", "k")])
+def test_cli_generate_fills_unset_flags_as_run_does(generator, key, tmp_path, capsys):
+    """An unset --inv or --k means n for both commands; seed 0 is trial 0's child seed."""
+    assert cli.main(["generate", "--generator", generator, "--n", "8"]) == 0
+    vals = [int(line) for line in capsys.readouterr().out.splitlines()]
+    spec = ExperimentSpec(algorithm="network_sort", generator=generator, n=8, trials=1)
+    assert vals == list(harness.generate(spec, np.random.default_rng(child_seed(0, 0))))
+    if generator == "controlled_inv":
+        assert _measured_disorder(vals)[1] == 8
 
 
 def test_cli_run_verify_round_trip(tmp_path):
@@ -580,7 +592,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("line", ["n = abc", "duplicates = maybe", "epsilon = half", "k = 1.5"])
+@pytest.mark.parametrize("line", ["n = abc", "duplicates = maybe", "epsilon = half", "k = 1.5",
+                                  "n = 2, 4"])
 def test_cli_run_rejects_a_malformed_spec_value(line, tmp_path, capsys):
     spec_path = tmp_path / "bad.spec"
     spec_path.write_text(f"algorithm = network_sort\nn = 8\n{line}\n", encoding="utf-8")

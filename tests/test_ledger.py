@@ -1,9 +1,7 @@
 """Counting-comparator semantics: the measurement surface everything trusts."""
 
-import json
 import sys
 import threading
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +22,7 @@ def test_new_session_trivials():
     ledger, ids = new_session([10, 20, 30])
     assert len(ids) == 3
     assert ledger.total == 0
-    assert ledger.profile().max == 0
+    assert ledger.counts.max() == 0
 
 
 def test_empty_session_rejected():
@@ -32,9 +30,9 @@ def test_empty_session_rejected():
         new_session([])
 
 
-def test_singleton_profile():
+def test_singleton_session_counts():
     ledger, ids = new_session([5])
-    assert ledger.profile().max == 0 and ledger.profile().mean == 0.0
+    assert list(ledger.counts) == [0]
 
 
 def test_compare_counts_both_sides():
@@ -121,7 +119,7 @@ def test_audit_mode_never_mutates_counts():
     for _ in range(1000):
         assert ledger.audit_compare(a, b) is Ordering.LESS
     assert ledger.total == 0
-    assert ledger.profile().max == 0
+    assert ledger.counts.max() == 0
     assert ledger.audit_total == 1000
 
 
@@ -192,18 +190,6 @@ def test_phase_counts_are_segregated():
     assert list(ledger.phase_counts("alpha")) == [2, 1, 1]
     assert list(ledger.phase_counts("beta")) == [0, 1, 1]
     assert list(ledger.counts) == [2, 2, 2]
-
-
-def test_profile_roles_and_serialization():
-    ledger, (a, b) = new_session([3, 5])
-    ledger.compare(a, b)
-    prof = ledger.profile(role_map={a: "query", b: "array"})
-    assert prof.by_role["query"] == (1, 1.0)
-    # the fields are plain JSON values, ready for a report row
-    payload = json.loads(json.dumps(asdict(prof)))
-    assert payload["per_element"] == {"0": 1, "1": 1}
-    assert payload["by_role"] == {"query": [1, 1.0], "array": [1, 1.0]}
-    assert (payload["max"], payload["mean"], payload["phase"]) == (1, 1.0, None)
 
 
 def test_audit_sorted_is_payload_then_index():

@@ -29,7 +29,7 @@ values_lists = st.lists(st.integers(-100, 100), min_size=1, max_size=64)
 def assert_ascending(ledger, ids):
     """Audit-only merge-precondition check used by the merge tests."""
     for prev, cur in zip(ids, ids[1:]):
-        if not ledger.audit_less(prev, cur):
+        if not ledger.sort_key(prev) < ledger.sort_key(cur):
             raise AssertionError(f"{prev} !< {cur}")
 
 

@@ -19,9 +19,13 @@ every cache in ``fragility.primitives`` cleared before each call, at
 ``WIRES``.  ``gen_controlled_inv`` times one generated input of
 ``INV_N`` elements per inversion count in ``INVS``, and ``offset_search`` one
 trial of ``run_experiment`` on C3's offset_search spec (n = 1024, 10^4
-uniform-rank searches).  Prints one JSON object of median and best
-microseconds per step and size.  To compare two checkouts, run it alternately with each one's
-``src`` directory:
+uniform-rank searches).  ``less`` times scalar ``ComparisonLedger.less``
+over the ``LESS_N - 1`` neighbour pairs of a list session of ``LESS_N``
+random payloads, outside any phase (``outside``) and inside one
+(``in_phase``), in nanoseconds per call.  Prints one JSON object of median
+and best microseconds per step and size (nanoseconds per call for ``less``).
+To compare two checkouts, run it alternately with each one's ``src``
+directory:
 
     python3 scripts/bench_oracle.py --src src
     python3 scripts/bench_oracle.py --src /path/to/other/checkout/src
@@ -42,6 +46,7 @@ WIRES = (100, 20000, 32768)  # a small-many size; C8's widest networks
 SAMPLES = 15  # timed samples per size
 INV_N = 1 << 15  # C8's largest controlled_inv inputs
 INVS = (16, 4096)
+LESS_N = 1 << 15  # a list session's payloads for the scalar ``less`` step
 SLOW_SAMPLES = 5  # timed samples per step that takes up to seconds
 SAMPLE_S = 0.05  # seconds of repetitions per sample
 
@@ -81,6 +86,28 @@ def time_select_trial(harness) -> dict:
         mode: {"median_us": statistics.median(v), "best_us": min(v), "reps": 1}
         for mode, v in samples.items()
     }
+
+
+def time_less(ledger, ids) -> dict:
+    """Median and best nanoseconds per scalar ``less`` over neighbour pairs,
+    outside a phase and inside one."""
+    pairs = list(zip(ids[1:], ids[:-1]))
+
+    def scan():
+        less = ledger.less
+        for a, b in pairs:
+            less(a, b)
+
+    def scan_in_phase():
+        with ledger.in_phase("bench"):
+            scan()
+
+    out = {}
+    for mode, step in (("outside", scan), ("in_phase", scan_in_phase)):
+        us = time_step(step, SLOW_SAMPLES)
+        out[mode] = {"median_ns": us["median_us"] * 1e3 / len(pairs),
+                     "best_ns": us["best_us"] * 1e3 / len(pairs), "reps": us["reps"]}
+    return out
 
 
 def main() -> int:
@@ -138,6 +165,8 @@ def main() -> int:
     spec = ExperimentSpec(algorithm="offset_search", generator="uniform_ranks", n=1024,
                           searches=10_000, trials=1, seed=3)
     out["offset_search"] = {"1024x10000": time_step(lambda: run_experiment(spec), SLOW_SAMPLES)}
+    payloads = generators.gen_random(LESS_N, np.random.default_rng(LESS_N))
+    out["less"] = {str(LESS_N): time_less(*new_session(np.asarray(payloads).tolist()))}
     print(json.dumps(out))
     return 0
 

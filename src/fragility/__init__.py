@@ -16,7 +16,6 @@ from .errors import (
 )
 from .ledger import (
     ComparisonLedger,
-    Ordering,
     audit_sorted,
     new_session,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "EmptyInput",
     "FragilityError",
     "InfeasibleTarget",
-    "Ordering",
     "RankOutOfRange",
     "SelfComparison",
     "UnknownElement",

@@ -10,7 +10,7 @@ comparator-network building blocks.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,21 +33,13 @@ PHASE_PARTITION_SORT = "partition-sort"
 PHASE_FINAL = "final"
 
 
-@dataclass
-class RunDecomposition:
-    """Partition of the input into maximal ascending runs."""
+def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> list[list[int]]:
+    """The maximal ascending runs of ``seq``, as id lists in input order.
 
-    runs: list[tuple[int, int]]  # (start index, length)
-    heads: list[int]  # first element of each run (its minimum)
-
-    @property
-    def count(self) -> int:
-        return len(self.runs)
-
-
-def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> RunDecomposition:
-    """One batch of neighbour comparisons; each element meets only its two
-    neighbours.  A strict descent (``less(ids[i], ids[i - 1])``) ends a run."""
+    One batch of neighbour comparisons; each element meets only its two
+    neighbours.  A strict descent (``less(ids[i], ids[i - 1])``) ends a run.
+    A run's head ``run[0]`` is its minimum, and Runs is ``len(runs)``.
+    """
     ids = list(seq)
     if not ids:
         raise EmptyInput("run decomposition of empty input")
@@ -55,11 +47,7 @@ def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> RunDecomposition
     signs = ledger.compare_batch(idx[1:], idx[:-1])
     descents = (signs < 0) | ((signs == 0) & (idx[1:] < idx[:-1]))
     starts = [0, *(np.flatnonzero(descents) + 1).tolist()]
-    ends = starts[1:] + [len(ids)]
-    return RunDecomposition(
-        runs=[(s, e - s) for s, e in zip(starts, ends)],
-        heads=[ids[s] for s in starts],
-    )
+    return [ids[s:e] for s, e in zip(starts, starts[1:] + [len(ids)])]
 
 
 # strict upper triangle: mask[i, j] is set where position i precedes j
@@ -128,22 +116,17 @@ def min_by_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     Per-element fragility <= 2 (scan) + ceil(log2 Runs) (tournament rounds).
     """
     with ledger.in_phase(PHASE_SCAN):
-        dec = count_runs(ledger, seq)
+        runs = count_runs(ledger, seq)
     with ledger.in_phase(PHASE_TOURNAMENT):
-        return tournament_min(ledger, dec.heads)
+        return tournament_min(ledger, [run[0] for run in runs])
 
 
-@dataclass
-class InversionExtract:
-    """Stack-scan decomposition into an ascending run R and removals I."""
-
-    R: list[int]
-    I: list[int]
-    marks_used: int
-
-
-def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> InversionExtract:
-    """One scan with a marked stack; leaves an ascending run R, removes I.
+def extract_sorted_run(
+    ledger: ComparisonLedger, seq: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """One scan with a marked stack; returns ``(R, I)``: the ascending run R
+    left on the stack, in input order, and the removed elements I, in the
+    order of their removal.
 
     Each scanned element is compared once with the stack top.  A top element
     collects a mark per inversion charged to it; at two marks it is popped
@@ -156,7 +139,6 @@ def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> Inversio
     stack: list[int] = [ids[0]]
     marks: dict[int, int] = {ids[0]: 0}
     removed: list[int] = []
-    marks_used = 0
     for e in ids[1:]:
         if not stack:
             stack.append(e)
@@ -170,7 +152,6 @@ def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> Inversio
         # e inverts with top: e goes to I, top gets a mark
         removed.append(e)
         marks[top] += 1
-        marks_used += 1
         while stack and marks[stack[-1]] == 2:
             popped = stack.pop()
             removed.append(popped)
@@ -178,8 +159,7 @@ def extract_sorted_run(ledger: ComparisonLedger, seq: Sequence[int]) -> Inversio
             # one mark accounts for the pop; the other moves to the new top
             if stack:
                 marks[stack[-1]] += 1
-                marks_used += 1
-    return InversionExtract(R=stack, I=removed, marks_used=marks_used)
+    return stack, removed
 
 
 def min_by_inv(
@@ -192,17 +172,16 @@ def min_by_inv(
     If ``info`` is given it receives ``I_size``, the number of removals.
     """
     with ledger.in_phase(PHASE_EXTRACT):
-        ext = extract_sorted_run(ledger, seq)
+        R, I = extract_sorted_run(ledger, seq)
     if info is not None:
-        info["I_size"] = len(ext.I)
-    if not ext.I:
-        return ext.R[0]
+        info["I_size"] = len(I)
+    if not I:
+        return R[0]
     with ledger.in_phase(PHASE_TOURNAMENT):
-        winner = tournament_min(ledger, ext.I)
-        if not ext.R:
+        winner = tournament_min(ledger, I)
+        if not R:
             return winner
-        head = ext.R[0]
-        return winner if ledger.less(winner, head) else head
+        return winner if ledger.less(winner, R[0]) else R[0]
 
 
 def median_two_runs(
@@ -281,15 +260,6 @@ class _LiveRun:
         return self.hi - self.lo
 
 
-@dataclass
-class RemovalStep:
-    """Audit record of one balanced-removal step (for post-hoc rank checks)."""
-
-    live_before: int
-    removed_low: list[int] = field(default_factory=list)
-    removed_high: list[int] = field(default_factory=list)
-
-
 def median_by_runs(
     ledger: ComparisonLedger,
     seq: Sequence[int],
@@ -303,7 +273,9 @@ def median_by_runs(
     partitioning elements with the comparator network, and discards equally
     many elements certainly below and certainly above the median — all
     without touching the discarded elements.  Once few elements remain, the
-    survivors plus the pool are handed to the network-sort median.
+    survivors plus the pool are handed to the network-sort median.  If
+    ``log`` is given, each removal step appends its ``(removed_low,
+    removed_high)`` lists to it.
     """
     ids = list(seq)
     n = len(ids)
@@ -313,13 +285,13 @@ def median_by_runs(
         return ids[0]
     L = max(1, ceil_log2(n))
     with ledger.in_phase(PHASE_SCAN):
-        dec = count_runs(ledger, ids)
-    runs_count = dec.count
+        runs = count_runs(ledger, ids)
+    runs_count = len(runs)
     if 4 * runs_count * L >= n // 2:
         with ledger.in_phase(PHASE_FINAL):
             return small_median(ledger, ids)
 
-    live = [_LiveRun(elems=ids[s : s + ln], lo=0, hi=ln) for s, ln in dec.runs]
+    live = [_LiveRun(elems=run, lo=0, hi=len(run)) for run in runs]
     pool: list[int] = []
     short_len = 7 * L
     threshold = 64 * runs_count * L
@@ -337,7 +309,8 @@ def median_by_runs(
         if N <= threshold or not live:
             break
 
-        step = RemovalStep(live_before=N)
+        removed_low: list[int] = []
+        removed_high: list[int] = []
 
         def pick(run: _LiveRun, from_low: bool) -> tuple[int, int]:
             """Partitioning element and the count of elements beyond it."""
@@ -387,7 +360,7 @@ def median_by_runs(
         for e in low_runs:
             run, margin = low_info[e]
             take = min(margin, remaining)
-            step.removed_low.extend(run.elems[run.lo : run.lo + take])
+            removed_low.extend(run.elems[run.lo : run.lo + take])
             run.lo += take
             remaining -= take
             if remaining == 0:
@@ -396,13 +369,13 @@ def median_by_runs(
         for e in high_runs:
             run, margin = high_info[e]
             take = min(margin, remaining)
-            step.removed_high.extend(run.elems[run.hi - take : run.hi])
+            removed_high.extend(run.elems[run.hi - take : run.hi])
             run.hi -= take
             remaining -= take
             if remaining == 0:
                 break
         if log is not None:
-            log.append(step)
+            log.append((removed_low, removed_high))
 
     survivors = pool + [e for r in live for e in r.elems[r.lo : r.hi]]
     with ledger.in_phase(PHASE_FINAL):
@@ -415,13 +388,13 @@ def median_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> int:
     if not ids:
         raise EmptyInput("median of empty input")
     with ledger.in_phase(PHASE_EXTRACT):
-        ext = extract_sorted_run(ledger, ids)
-    if not ext.I:
-        return ext.R[(len(ext.R) - 1) // 2]
+        R, I = extract_sorted_run(ledger, ids)
+    if not I:
+        return R[(len(R) - 1) // 2]
     with ledger.in_phase(PHASE_PARTITION_SORT):
-        sorted_i = network_sort(ledger, ext.I)
+        sorted_i = network_sort(ledger, I)
     with ledger.in_phase(PHASE_FINAL):
-        return median_two_runs(ledger, ext.R, sorted_i)
+        return median_two_runs(ledger, R, sorted_i)
 
 
 def _column_search(
@@ -481,8 +454,7 @@ def sort_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> list[int]:
     if not ids:
         raise EmptyInput("sort of empty input")
     with ledger.in_phase(PHASE_EXTRACT):
-        ext = extract_sorted_run(ledger, ids)
-    R, I = ext.R, ext.I
+        R, I = extract_sorted_run(ledger, ids)
     if not I:
         return list(R)
     if not R:

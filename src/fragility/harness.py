@@ -201,17 +201,13 @@ RANK_GENERATORS: dict[str, Callable] = {
 
 
 def _oracle_order(vals: ArrayLike) -> np.ndarray:
-    """Positions in the canonical (payload, position) order.
+    """Positions in the canonical (payload, position) order:
+    ``np.argsort(vals, kind="stable")`` for totally ordered payloads.
 
-    Equals ``np.argsort(vals, kind="stable")`` for totally ordered payloads.
     An integer array that is a permutation of 0..n-1, as every permutation
     generator emits, needs no sort: its order is the inverse permutation,
     built by one scatter.  The scatter writes every slot exactly when the
-    payloads lie in [0, n-1] without repeats.  Other payloads take numpy's
-    faster unstable sort.  When no two sorted neighbours are equal that order
-    is the only correct one; otherwise each group of equal payloads is put
-    back in position order by sorting the unique keys ``group * n + position``
-    and taking them mod n.
+    payloads lie in [0, n-1] without repeats.
     """
     arr = np.asarray(vals)
     n = arr.size
@@ -220,18 +216,7 @@ def _oracle_order(vals: ArrayLike) -> np.ndarray:
         order[arr] = np.arange(n)
         if order.min() >= 0:
             return order
-    order = np.argsort(arr)
-    ranked = arr[order]
-    steps = ranked[1:] != ranked[:-1]
-    if steps.all():
-        return order
-    keys = np.zeros(n, dtype=np.int64)
-    np.cumsum(steps, out=keys[1:])  # group id of each sorted slot
-    keys *= n
-    keys += order
-    keys.sort()
-    keys %= n
-    return keys
+    return np.argsort(arr, kind="stable")
 
 
 def _measured_disorder(vals: ArrayLike, order: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -389,10 +374,10 @@ def _select_kth(ledger, ids, vals, extra, spec, rng):
 
 
 def _extract(ledger, ids, vals, extra, *_):
-    ext = adaptive.extract_sorted_run(ledger, ids)
-    keys = [ledger.sort_key(e) for e in ext.R]
-    extra["correct"] = keys == sorted(keys) and len(ext.R) + len(ext.I) == len(ids)
-    extra["I_size"] = len(ext.I)
+    R, I = adaptive.extract_sorted_run(ledger, ids)
+    keys = [ledger.sort_key(e) for e in R]
+    extra["correct"] = keys == sorted(keys) and len(R) + len(I) == len(ids)
+    extra["I_size"] = len(I)
 
 
 def _median_two_runs(ledger, ids, vals, *_):
@@ -580,7 +565,7 @@ def _check_correct(report):
 
 
 def _check_select(report):
-    out = _check_correct(report)
+    out = []
     sampled = [row for row in report.rows if row.get("branch") == "sampled"]
     if sampled:
         # S' holds z, so it is never empty: k = 0 takes select_kth's max(k, 1).
@@ -595,19 +580,15 @@ def _check_select(report):
     return out
 
 
-def _row_bounds(*bounds, oracle: bool = False) -> Callable:
+def _row_bounds(*bounds) -> Callable:
     """Checker for per-row bounds ``(name, value(row), limit(row))``.
 
-    A bound passes when value <= limit, with slack limit - value.  With
-    ``oracle`` the ``matches-oracle`` verdicts of every row come first.
+    A bound passes when value <= limit, with slack limit - value.
     """
 
     def check(report):
-        out = _check_correct(report) if oracle else []
-        for row in report.rows:
-            for name, value, limit in bounds:
-                out.append(_verdict(name, row["trial"], value(row), limit(row)))
-        return out
+        return [_verdict(name, row["trial"], value(row), limit(row))
+                for row in report.rows for name, value, limit in bounds]
 
     return check
 
@@ -638,27 +619,21 @@ BOUND_SETS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "median-runs-envelope": (("median_by_runs",), _row_bounds(
         ("median-runs-envelope", _frag_max,
          lambda r: calibration.median_runs_envelope(r["runs"], r["n"])),
-        oracle=True,
     )),
     "median-inv-envelope": (("median_by_inv",), _row_bounds(
         ("median-inv-envelope", _frag_max, lambda r: calibration.median_inv_envelope(r["inv"])),
-        oracle=True,
     )),
     "sort-inv-envelope": (("sort_by_inv",), _row_bounds(
         ("sort-inv-envelope", _frag_max, lambda r: calibration.sort_inv_envelope(r["inv"])),
-        oracle=True,
     )),
     "network-depth": (("network_sort", "small_median"), _row_bounds(
         ("network-depth", _frag_max, itemgetter("depth_bound")),
-        oracle=True,
     )),
     "tournament": (("tournament_min",), _row_bounds(
         ("tournament-rounds", _frag_max, lambda r: ceil_log2(r["n"])),
-        oracle=True,
     )),
     "two-run-median": (("median_two_runs",), _row_bounds(
         ("two-run-median-constant", _frag_max, lambda r: calibration.MEDIAN_TWO_RUNS_MAX),
-        oracle=True,
     )),
     "select-expectations": (("select_kth",), _check_select),
     "oracle-agreement": (tuple(ALGORITHMS), _check_correct),

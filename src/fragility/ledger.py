@@ -7,25 +7,19 @@ that array, and scalar comparisons read Python scalars from it through a
 ``memoryview`` where its dtype allows (see ``_scalar_view``).  Every algorithm
 in this package performs ordering queries exclusively through a
 :class:`ComparisonLedger`, which records how many comparisons each element
-participates in.  Test oracles use the uncounted audit mode so that correctness
-checks never distort the measured comparison counts.
+participates in.  A comparison answers with an ``int`` sign, -1, 0 or +1, on
+the scalar and the batch paths alike.  Tests check results in the uncounted
+audit mode, so that those checks never distort the measured comparison counts.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, SelfComparison, UnknownElement
-
-
-class Ordering(IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 class ComparisonLedger:
@@ -86,7 +80,8 @@ class ComparisonLedger:
         if a == b:
             raise SelfComparison(f"element {a} compared with itself")
 
-    def compare(self, a: int, b: int) -> Ordering:
+    def compare(self, a: int, b: int) -> int:
+        """Counted sign of ``a``'s payload against ``b``'s: -1, 0 or +1."""
         self._check(a, b)
         counts = self.counts
         counts[a] += 1
@@ -97,21 +92,15 @@ class ComparisonLedger:
             pc[a] += 1
             pc[b] += 1
         va, vb = self._values[a], self._values[b]
-        if va < vb:
-            return Ordering.LESS
-        if vb < va:
-            return Ordering.GREATER
-        return Ordering.EQUAL
+        return -1 if va < vb else 1 if vb < va else 0
 
     def less(self, a: int, b: int) -> bool:
         """Counted strict order; equal payloads break ties by element index.
 
         Tie-breaking is arithmetic on indices and costs no extra comparison.
         """
-        order = self.compare(a, b)
-        if order is Ordering.EQUAL:
-            return a < b
-        return order is Ordering.LESS
+        sign = self.compare(a, b)
+        return sign < 0 if sign else a < b
 
     def compare_batch(self, a_indices: np.ndarray, b_indices: np.ndarray | int) -> np.ndarray:
         """Vectorized counted comparisons; returns -1/0/+1 per pair.
@@ -138,7 +127,7 @@ class ComparisonLedger:
             raise SelfComparison("batch contains a self-comparison")
         if self._vnum is None:
             pairs = zip(a_indices.tolist(), np.broadcast_to(b_indices, a_indices.shape).tolist())
-            return np.array([int(self.compare(i, j)) for i, j in pairs], dtype=np.int8)
+            return np.array([self.compare(i, j) for i, j in pairs], dtype=np.int8)
         _tally(self.counts, a_indices, b_indices)
         self.total += int(a_indices.size)
         if self._phase is not None:
@@ -150,15 +139,12 @@ class ComparisonLedger:
 
     # -- audit mode -----------------------------------------------------
 
-    def audit_compare(self, a: int, b: int) -> Ordering:
+    def audit_compare(self, a: int, b: int) -> int:
+        """Uncounted :meth:`compare`; only ``audit_total`` rises."""
         self._check(a, b)
         self.audit_total += 1
         va, vb = self._values[a], self._values[b]
-        if va < vb:
-            return Ordering.LESS
-        if vb < va:
-            return Ordering.GREATER
-        return Ordering.EQUAL
+        return -1 if va < vb else 1 if vb < va else 0
 
     def payload(self, a: int):
         """Audit-only payload access for oracles and verifiers."""

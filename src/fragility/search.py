@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ledger import ComparisonLedger, Ordering
+from .ledger import ComparisonLedger
 from .primitives import ceil_log2
 
 # Per-search amortized comparison budget on a fixed array element, expressed
@@ -42,7 +42,7 @@ def exp_search(ledger: ComparisonLedger, view: tuple[int, ...], query: int) -> i
     n = len(view)
 
     def smaller(pos: int) -> bool:
-        return ledger.compare(query, view[pos]) is Ordering.GREATER
+        return ledger.compare(query, view[pos]) > 0
 
     lo = 0  # positions < lo are known strictly smaller than the query
     hi = n  # positions >= hi are known >= the query
@@ -116,7 +116,7 @@ def offset_search(
     n = s.n
 
     def smaller(pos: int) -> bool:
-        return ledger.compare(query, view[pos]) is Ordering.GREATER
+        return ledger.compare(query, view[pos]) > 0
 
     lo = 0
     hi = s.n_padded  # virtual positions >= n behave as plus-infinity
@@ -173,7 +173,7 @@ def randomized_search(
         start = lo + length // 4
         stop = lo + (3 * length + 3) // 4
         pos = int(rng.integers(start, stop))
-        if ledger.compare(query, view[pos]) is Ordering.GREATER:
+        if ledger.compare(query, view[pos]) > 0:
             lo = pos + 1
         else:
             hi = pos

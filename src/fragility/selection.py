@@ -13,7 +13,6 @@ comparator network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,14 +26,6 @@ Backend = Callable[[ComparisonLedger, Sequence[int], int], int]
 PHASE_PRE = "select:pre"  # sampling, recursive filtering, pivot choice
 PHASE_FILTER = "select:filter"  # building {x <= z} over the whole input
 PHASE_BACKEND = "select:backend"
-
-
-@dataclass
-class CandidateSet:
-    """Everything at or below the pivot z; contains the rank-k element."""
-
-    ids: list[int]
-    z: int
 
 
 def _filter_at_most(ledger: ComparisonLedger, pool: Sequence[int], z: int) -> np.ndarray:
@@ -53,12 +44,13 @@ def reset(
     xs: Sequence[int],
     k: int,
     rng: np.random.Generator,
-) -> CandidateSet:
+) -> list[int]:
     """Recursive half-sampling filter around the rank-k element.
 
     Samples half (floor) of the pool per level until k >= |pool|/2 - 1, then
-    filters back up through pivots, returning a candidate set of expected size
-    about 2(k+1) that always contains the rank-k element of the input.
+    filters back up through pivots.  Returns the candidates, every element at
+    or below the last pivot z: a list of expected size about 2(k+1) that
+    always contains the rank-k element of the input, with z last.
     """
     n = len(xs)
     if not (0 <= k < n):
@@ -76,7 +68,7 @@ def reset(
         # construction, same role as building the final filtered set
         with ledger.in_phase(PHASE_FILTER):
             back = _filter_at_most(ledger, level, z)
-    return CandidateSet(ids=back.tolist(), z=z)
+    return back.tolist()
 
 
 def backend_network(ledger: ComparisonLedger, ids: Sequence[int], k: int) -> int:
@@ -128,14 +120,14 @@ def select_kth(
         with ledger.in_phase(PHASE_PRE):
             picks = rng.permutation(n)[:size]
             cand = reset(ledger, pool[picks], k, rng)
-            z = mom_select(ledger, cand.ids, k)
+            z = mom_select(ledger, cand, k)
         with ledger.in_phase(PHASE_FILTER):
             filtered = _filter_at_most(ledger, pool, z).tolist()
         if info is not None:
             info.update(
                 branch="sampled",
                 sample_size=size,
-                candidate_size=len(cand.ids),
+                candidate_size=len(cand),
                 filtered_size=len(filtered),
             )
         with ledger.in_phase(PHASE_BACKEND):

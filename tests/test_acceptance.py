@@ -154,9 +154,9 @@ def test_criterion_05_selection_expectations():
             ledger, ids = new_session(vals)
             cand = reset(ledger, ids, k, rng)
             target = int(np.argsort(vals, kind="stable")[k])
-            if target not in cand.ids:
+            if target not in cand:
                 containment_misses += 1
-            sizes.append(len(cand.ids))
+            sizes.append(len(cand))
         mean_c = sum(sizes) / len(sizes)
         if mean_c > 1.1 * 2 * (k + 1):
             size_failures.append((k, mean_c))

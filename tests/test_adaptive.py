@@ -21,7 +21,14 @@ from fragility.adaptive import (
 from fragility.errors import EmptyInput
 from fragility.harness import _measured_disorder
 from fragility.ledger import audit_sorted, new_session
-from fragility.primitives import ceil_log2
+from fragility.primitives import (
+    ceil_log2,
+    mom_select,
+    network_sort,
+    small_median,
+    tournament_min,
+)
+from fragility.selection import select_kth
 
 values_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=100)
 
@@ -40,13 +47,11 @@ def _brute_inversions(ledger, ids):
 @given(values=values_lists)
 def test_count_runs_scan_cost_and_partition(values):
     ledger, ids = new_session(values)
-    dec = count_runs(ledger, ids)
+    runs = count_runs(ledger, ids)
     assert int(ledger.counts.max()) <= 2
-    assert sum(length for _, length in dec.runs) == len(ids)
-    # each run is ascending in the canonical order and heads are run minima
-    for (start, length), head in zip(dec.runs, dec.heads):
-        run = ids[start : start + length]
-        assert head == run[0]
+    # the runs partition the input in order, each ascending in the canonical order
+    assert [e for run in runs for e in run] == list(ids)
+    for run in runs:
         keys = [ledger.sort_key(e) for e in run]
         assert keys == sorted(keys)
 
@@ -114,8 +119,8 @@ def test_min_by_inv_info_reports_extraction_without_moving_counts():
     logged, logged_ids = new_session(values)
     info = {}
     assert min_by_inv(logged, logged_ids, info=info) == min_by_inv(plain, plain_ids)
-    ext = extract_sorted_run(*new_session(values))
-    assert info == {"I_size": len(ext.I)} and len(ext.I) > 0
+    _, I = extract_sorted_run(*new_session(values))
+    assert info == {"I_size": len(I)} and len(I) > 0
     assert logged.counts.tolist() == plain.counts.tolist()
     assert logged.total == plain.total
     for phase in ("extract", "tournament"):
@@ -128,7 +133,7 @@ def test_min_by_runs_correct_with_log_runs_fragility(values):
     ledger, ids = new_session(values)
     res = min_by_runs(ledger, ids)
     assert res == audit_sorted(ledger, ids)[0]
-    runs = count_runs(new_session(values)[0], new_session(values)[1]).count
+    runs = len(count_runs(*new_session(values)))
     assert int(ledger.counts.max()) <= 2 + ceil_log2(runs)
 
 
@@ -146,19 +151,19 @@ def test_min_by_runs_controlled(runs):
 @given(values=values_lists)
 def test_extract_sorted_run_structure(values):
     ledger, ids = new_session(values)
-    ext = extract_sorted_run(ledger, ids)
+    R, I = extract_sorted_run(ledger, ids)
     inv = _measured_disorder(values)[1]
-    keys = [ledger.sort_key(e) for e in ext.R]
+    keys = [ledger.sort_key(e) for e in R]
     assert keys == sorted(keys)
-    assert sorted(ext.R + ext.I) == list(range(len(ids)))
-    assert len(ext.I) <= 2 * inv
+    assert sorted(R + I) == list(range(len(ids)))
+    assert len(I) <= 2 * inv
     assert int(ledger.counts.max()) <= 4
 
 
 def test_extract_on_sorted_input_removes_nothing():
     ledger, ids = new_session(list(range(30)))
-    ext = extract_sorted_run(ledger, ids)
-    assert ext.I == [] and ext.R == list(ids) and ext.marks_used == 0
+    R, I = extract_sorted_run(ledger, ids)
+    assert I == [] and R == list(ids)
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,8 +172,8 @@ def test_min_by_inv_correct_with_log_i_fragility(values):
     ledger, ids = new_session(values)
     res = min_by_inv(ledger, ids)
     assert res == audit_sorted(ledger, ids)[0]
-    ext = extract_sorted_run(*new_session(values))
-    assert int(ledger.counts.max()) <= 4 + ceil_log2(len(ext.I) + 1) + 1
+    _, I = extract_sorted_run(*new_session(values))
+    assert int(ledger.counts.max()) <= 4 + ceil_log2(len(I) + 1) + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,12 +217,12 @@ def test_median_by_runs_controlled_with_balanced_removals(runs):
     ordered = audit_sorted(ledger, ids)
     assert res == ordered[(n - 1) // 2]
     rank = {e: r for r, e in enumerate(ordered)}
-    for step in log:
+    for removed_low, removed_high in log:
         # balanced: equally many certified-low and certified-high removals,
         # none of which is the global median
-        assert len(step.removed_low) == len(step.removed_high)
-        assert all(rank[e] < (n - 1) // 2 for e in step.removed_low)
-        assert all(rank[e] > (n - 1) // 2 for e in step.removed_high)
+        assert len(removed_low) == len(removed_high)
+        assert all(rank[e] < (n - 1) // 2 for e in removed_low)
+        assert all(rank[e] > (n - 1) // 2 for e in removed_high)
 
 
 def test_median_by_inv_correct_on_controlled_inputs():
@@ -282,15 +287,13 @@ def test_count_permutation_inversions_at_two_to_the_17(n):
 
 def _scalar_count_runs(ledger, ids):
     """count_runs as a scan of scalar neighbour comparisons."""
-    runs, heads, start = [], [], 0
+    runs, start = [], 0
     for i in range(1, len(ids)):
         if ledger.less(ids[i], ids[i - 1]):
-            runs.append((start, i - start))
-            heads.append(ids[start])
+            runs.append(ids[start:i])
             start = i
-    runs.append((start, len(ids) - start))
-    heads.append(ids[start])
-    return runs, heads
+    runs.append(ids[start:])
+    return runs
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,10 +310,48 @@ def test_count_runs_batch_matches_a_scalar_scan(values, data):
     batch, _ = new_session(values)
     scalar, _ = new_session(values)
     with batch.in_phase(PHASE_SCAN):
-        dec = count_runs(batch, ids)
+        runs = count_runs(batch, ids)
     with scalar.in_phase(PHASE_SCAN):
         expected = _scalar_count_runs(scalar, ids)
-    assert (dec.runs, dec.heads) == expected
+    assert runs == expected
     assert batch.counts.tolist() == scalar.counts.tolist()
     assert batch.phase_counts(PHASE_SCAN).tolist() == scalar.phase_counts(PHASE_SCAN).tolist()
     assert batch.total == scalar.total == len(ids) - 1
+
+
+# name -> (call(ledger, ids, k), expected(n, k)) with k the lower median's rank
+_ALL_EQUAL = {
+    "min_by_runs": (lambda ledger, ids, k: min_by_runs(ledger, ids), lambda n, k: 0),
+    "min_by_inv": (lambda ledger, ids, k: min_by_inv(ledger, ids), lambda n, k: 0),
+    "tournament_min": (lambda ledger, ids, k: tournament_min(ledger, ids), lambda n, k: 0),
+    "median_by_runs": (lambda ledger, ids, k: median_by_runs(ledger, ids), lambda n, k: k),
+    "median_by_inv": (lambda ledger, ids, k: median_by_inv(ledger, ids), lambda n, k: k),
+    "small_median": (lambda ledger, ids, k: small_median(ledger, ids), lambda n, k: k),
+    "mom_select": (mom_select, lambda n, k: k),
+    "select_kth": (
+        lambda ledger, ids, k: select_kth(ledger, ids, k, np.random.default_rng(k)),
+        lambda n, k: k,
+    ),
+    "select_kth-k1": (
+        lambda ledger, ids, k: select_kth(ledger, ids, 1, np.random.default_rng(k)),
+        lambda n, k: 1,
+    ),
+    "sort_by_inv": (lambda ledger, ids, k: sort_by_inv(ledger, ids), lambda n, k: list(range(n))),
+    "network_sort": (lambda ledger, ids, k: network_sort(ledger, ids), lambda n, k: list(range(n))),
+    "extract_sorted_run": (
+        lambda ledger, ids, k: extract_sorted_run(ledger, ids),
+        lambda n, k: (list(range(n)), []),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 17, 100])
+@pytest.mark.parametrize("name", sorted(_ALL_EQUAL))
+def test_all_equal_payloads_give_the_index_order_answer(name, n):
+    """Ties break by index, so on [7] * n each answer is that of ids in
+    index order, and every comparison still counts for both elements."""
+    call, expected = _ALL_EQUAL[name]
+    ledger, ids = new_session([7] * n)
+    k = (n - 1) // 2
+    assert call(ledger, ids, k) == expected(n, k)
+    assert int(ledger.counts.sum()) == 2 * ledger.total

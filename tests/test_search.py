@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility.ledger import Ordering, new_session
+from fragility.ledger import new_session
 from fragility.primitives import ceil_log2
 from fragility.search import (
     AMORTIZED_BUDGET_PER_DISTANCE,
@@ -24,7 +24,7 @@ def predecessor_oracle(ledger, view, query) -> int:
     """Linear-scan audit-mode oracle: the query's rank in the view."""
     rank = 0
     for pos, e in enumerate(view):
-        if ledger.audit_compare(e, query) is Ordering.LESS:
+        if ledger.audit_compare(e, query) < 0:
             rank = pos + 1
     return rank
 

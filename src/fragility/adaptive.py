@@ -44,8 +44,7 @@ def count_runs(ledger: ComparisonLedger, seq: Sequence[int]) -> list[list[int]]:
     if not ids:
         raise EmptyInput("run decomposition of empty input")
     idx = np.array(ids, dtype=np.intp)
-    signs = ledger.compare_batch(idx[1:], idx[:-1])
-    descents = (signs < 0) | ((signs == 0) & (idx[1:] < idx[:-1]))
+    descents = ledger.less_batch(idx[1:], idx[:-1])
     starts = [0, *(np.flatnonzero(descents) + 1).tolist()]
     return [ids[s:e] for s, e in zip(starts, starts[1:] + [len(ids)])]
 

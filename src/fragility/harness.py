@@ -105,6 +105,15 @@ class ExperimentSpec:
             raise ConfigError(f"runs={self.runs} infeasible for n={self.n}")
         if self.inv is not None and not (0 <= self.inv <= self.n * (self.n - 1) // 2):
             raise ConfigError(f"inv={self.inv} infeasible for n={self.n}")
+        if self.split is not None and not (0 <= self.split <= self.n):
+            raise ConfigError(f"split={self.split} infeasible for n={self.n}")
+        if self.k is not None:
+            if self.algorithm in ("select_kth", "mom_select") and not 0 <= self.k < self.n:
+                raise ConfigError(f"k={self.k} outside [0, {self.n}) for {self.algorithm!r}")
+            if self.generator == "lower_bound" and not 0 <= self.k <= self.n * self.n:
+                raise ConfigError(f"k={self.k} infeasible for n={self.n}")
+        if self.generator == "adversarial_run_plus_one" and self.n < 2:
+            raise ConfigError(f"generator 'adversarial_run_plus_one' needs n >= 2, not {self.n}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
@@ -129,8 +138,9 @@ class ExperimentSpec:
 
 def read_spec_file(path: str) -> dict[str, str]:
     """The ``key = value`` lines of a spec file, as strings; blank lines and
-    ``#`` comments are skipped."""
+    ``#`` comments are skipped, and a key may appear only once."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -139,7 +149,11 @@ def read_spec_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            mapping[key] = value.strip()
     return mapping
 
 

@@ -59,11 +59,13 @@ class ComparisonLedger:
             # NaN also fails this check, and per-pair compares agree on it
             if vnum is not None and vnum.dtype.kind == "f" and vnum.tolist() != self._values:
                 vnum = None
-        self._vnum = None if vnum is None or vnum.dtype == object else vnum
+        # tuple payloads or a 2-D array would compare element-wise in numpy, so
+        # only a 1-D array serves the batch path; the rest compare per pair
+        self._vnum = None if vnum is None or vnum.dtype == object or vnum.ndim != 1 else vnum
         self.counts = np.zeros(len(self._values), dtype=np.int64)
         self.total = 0
         self.audit_total = 0
-        self._phase: Optional[str] = None
+        self._phase: Optional[np.ndarray] = None  # the open phase's counts
         self._phase_counts: dict[str, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------
@@ -87,8 +89,8 @@ class ComparisonLedger:
         counts[a] += 1
         counts[b] += 1
         self.total += 1
-        if self._phase is not None:
-            pc = self._phase_counts[self._phase]
+        pc = self._phase
+        if pc is not None:
             pc[a] += 1
             pc[b] += 1
         va, vb = self._values[a], self._values[b]
@@ -102,15 +104,21 @@ class ComparisonLedger:
         sign = self.compare(a, b)
         return sign < 0 if sign else a < b
 
+    def less_batch(self, a_indices: np.ndarray, b_indices: np.ndarray | int) -> np.ndarray:
+        """:meth:`less` per pair, as a bool array: the same counted pairs as
+        :meth:`compare_batch`, which takes the same arguments."""
+        a_indices = np.asarray(a_indices, dtype=np.intp)
+        signs = self.compare_batch(a_indices, b_indices)
+        return (signs < 0) | ((signs == 0) & (a_indices < b_indices))
+
     def compare_batch(self, a_indices: np.ndarray, b_indices: np.ndarray | int) -> np.ndarray:
         """Vectorized counted comparisons; returns -1/0/+1 per pair.
 
-        Semantically identical to calling :meth:`compare` per pair; used by
-        comparator-network application and sample filtering where Python-level
-        loops would dominate the runtime.  ``b_indices`` is an array of the
-        same shape, or a single id (a scalar, not a length-1 array) compared
-        with every element of ``a_indices``, whose count then rises by
-        ``a_indices.size``.
+        Semantically identical to calling :meth:`compare` per pair, without a
+        Python-level loop where the payloads form a 1-D numpy array.
+        ``b_indices`` is an array of the same shape, or a single id (a scalar,
+        not a length-1 array) compared with every element of ``a_indices``,
+        whose count then rises by ``a_indices.size``.
         """
         a_indices = np.asarray(a_indices, dtype=np.intp)
         b_indices = np.asarray(b_indices, dtype=np.intp)
@@ -131,7 +139,7 @@ class ComparisonLedger:
         _tally(self.counts, a_indices, b_indices)
         self.total += int(a_indices.size)
         if self._phase is not None:
-            _tally(self._phase_counts[self._phase], a_indices, b_indices)
+            _tally(self._phase, a_indices, b_indices)
         va = self._vnum[a_indices]
         vb = self._vnum[b_indices]
         # unordered pairs (NaN) are neither greater nor less: sign 0, as in compare
@@ -163,7 +171,7 @@ class ComparisonLedger:
         if name not in self._phase_counts:
             self._phase_counts[name] = np.zeros(len(self._values), dtype=np.int64)
         previous = self._phase
-        self._phase = name
+        self._phase = self._phase_counts[name]
         try:
             yield
         finally:

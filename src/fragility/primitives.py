@@ -93,7 +93,7 @@ def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
 
     Small networks run their comparators one at a time through
     :meth:`ComparisonLedger.less`, larger ones a layer at a time through
-    :meth:`ComparisonLedger.compare_batch`.  Both apply the same comparators
+    :meth:`ComparisonLedger.less_batch`.  Both apply the same comparators
     in the same layer order, so the result and every count are identical.
     """
     m = len(ids)
@@ -115,8 +115,7 @@ def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
         start = end
         ia = arr[pos_a]
         ib = arr[pos_b]
-        signs = ledger.compare_batch(ia, ib)
-        swap = (signs > 0) | ((signs == 0) & (ia > ib))
+        swap = ~ledger.less_batch(ia, ib)
         if swap.any():
             sa = pos_a[swap]
             sb = pos_b[swap]
@@ -215,15 +214,10 @@ def mom_select(ledger: ComparisonLedger, ids: Sequence[int], k: int) -> int:
             group = pool[g : g + 5]
             medians.append(network_sort(ledger, group)[(len(group) - 1) // 2])
         pivot = mom_select(ledger, medians, (len(medians) - 1) // 2)
-        lower = []
-        upper = []
-        for x in pool:
-            if x == pivot:
-                continue
-            if ledger.less(x, pivot):
-                lower.append(x)
-            else:
-                upper.append(x)
+        others = np.array(pool, dtype=np.intp)
+        others = others[others != pivot]
+        below = ledger.less_batch(others, pivot)
+        lower, upper = others[below].tolist(), others[~below].tolist()
         r = len(lower)
         if k < r:
             pool = lower

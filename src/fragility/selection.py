@@ -32,11 +32,7 @@ def _filter_at_most(ledger: ComparisonLedger, pool: Sequence[int], z: int) -> np
     """Counted filter {x in pool : x <= z} as an index array; z is kept for free."""
     pool = np.asarray(pool, dtype=np.intp)
     others = pool[pool != z]
-    if others.size == 0:
-        return np.array([z], dtype=np.intp)
-    signs = ledger.compare_batch(others, z)
-    keep = (signs < 0) | ((signs == 0) & (others < z))
-    return np.append(others[keep], z)
+    return np.append(others[ledger.less_batch(others, z)], z)
 
 
 def reset(

@@ -217,6 +217,34 @@ def test_spec_validation_errors():
         ExperimentSpec(algorithm="sort_by_inv", n=4, inv=7).validate()
 
 
+@pytest.mark.parametrize("fields,message", [
+    (dict(algorithm="median_two_runs", generator="two_runs", n=100, split=101), "split=101"),
+    (dict(algorithm="median_two_runs", generator="two_runs", n=100, split=-1), "split=-1"),
+    (dict(algorithm="select_kth", n=100, k=100), "k=100"),
+    (dict(algorithm="mom_select", n=100, k=-1), "k=-1"),
+    (dict(algorithm="network_sort", generator="lower_bound", n=10, k=101), "k=101"),
+    (dict(algorithm="network_sort", generator="adversarial_run_plus_one", n=1), "n >= 2"),
+])
+def test_spec_rejects_a_split_k_or_n_that_no_trial_could_run(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentSpec(**fields).validate()
+
+
+@pytest.mark.parametrize("fields", [
+    dict(algorithm="median_two_runs", generator="two_runs", n=100, split=0),
+    dict(algorithm="median_two_runs", generator="two_runs", n=100, split=100),
+    dict(algorithm="select_kth", n=100, k=99),
+    dict(algorithm="mom_select", n=100, k=0),
+    dict(algorithm="network_sort", generator="lower_bound", n=10, k=100),
+    dict(algorithm="network_sort", n=10, k=500),  # no consumer of k: unchecked
+    dict(algorithm="network_sort", generator="adversarial_run_plus_one", n=2),
+])
+def test_spec_accepts_the_edges_of_split_k_and_n(fields):
+    spec = ExperimentSpec(**fields, trials=1)
+    spec.validate()
+    assert run_experiment(spec).rows
+
+
 @pytest.mark.parametrize(
     "algorithm,generator", [("tournament_min", "uniform_ranks"), ("exp_search", "controlled_runs")]
 )
@@ -252,6 +280,13 @@ def test_spec_from_file(tmp_path):
     bad.write_text("algorithm min_by_runs\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         ExperimentSpec.from_mapping(read_spec_file(str(bad)))
+
+
+def test_spec_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.spec"
+    path.write_text("algorithm = network_sort\nn = 100\n# later\nn = 7\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"twice.spec:4: key 'n' repeats line 2"):
+        read_spec_file(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +633,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                                   "n = 2, 4"])
 def test_cli_run_rejects_a_malformed_spec_value(line, tmp_path, capsys):
     spec_path = tmp_path / "bad.spec"
-    spec_path.write_text(f"algorithm = network_sort\nn = 8\n{line}\n", encoding="utf-8")
+    spec_path.write_text(f"algorithm = network_sort\n{line}\n", encoding="utf-8")
     assert cli.main(["run", "--spec", str(spec_path)]) == 2
     key, _, value = line.partition(" = ")
     err = capsys.readouterr().err

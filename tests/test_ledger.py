@@ -1,5 +1,6 @@
 """Counting-comparator semantics: the measurement surface everything trusts."""
 
+import contextlib
 import sys
 import threading
 from fractions import Fraction
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragility.adaptive import count_runs
 from fragility.errors import EmptyInput, SelfComparison, UnknownElement
 from fragility.ledger import (
     ComparisonLedger,
     audit_sorted,
     new_session,
 )
+from fragility.primitives import network_sort
 
 
 def test_new_session_trivials():
@@ -386,3 +389,60 @@ def test_compare_batch_with_a_single_id_rejects_bad_ids(values):
             ledger.compare_batch(np.array([], dtype=np.intp), z)
     assert ledger.total == 0 and ledger.counts.tolist() == [0, 0, 0]
 
+
+_SESSIONS = {
+    "list": lambda values: values,
+    "array": np.array,
+    "object": lambda values: [Fraction(v) for v in values],  # the per-pair fallback
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_SESSIONS)),
+    values=st.lists(st.integers(-3, 3), min_size=2, max_size=20),
+    pairs=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=40),
+    z=st.one_of(st.none(), st.integers(0, 19)),
+    phase=st.booleans(),
+)
+def test_less_batch_matches_less_per_pair(kind, values, pairs, z, phase):
+    """less_batch answers and counts as a loop of less over the same pairs,
+    with an array of b ids or a single one (z), and with no pair at all."""
+    n = len(values)
+    if z is None:
+        pairs = [(i % n, j % n) for i, j in pairs if i % n != j % n]
+        b = np.array([j for _, j in pairs], dtype=np.intp)
+    else:
+        z %= n
+        pairs = [(i % n, z) for i, _ in pairs if i % n != z]
+        b = z
+    a = np.array([i for i, _ in pairs], dtype=np.intp)
+    batch, _ = new_session(_SESSIONS[kind](values))
+    scalar, _ = new_session(_SESSIONS[kind](values))
+    assert (batch._vnum is None) == (kind == "object")
+    with batch.in_phase("p") if phase else contextlib.nullcontext():
+        answers = batch.less_batch(a, b)
+    with scalar.in_phase("p") if phase else contextlib.nullcontext():
+        expected = [scalar.less(i, j) for i, j in pairs]
+    assert answers.dtype == bool and answers.tolist() == expected
+    assert batch.counts.tolist() == scalar.counts.tolist()
+    assert batch.total == scalar.total == len(pairs)
+    assert batch.phase_counts("p").tolist() == scalar.phase_counts("p").tolist()
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["tuples", "2d-array"])
+def test_tuple_payloads_batch_as_compare_does(make):
+    """Equal-length tuples (or the rows of a 2-D array) are compared whole,
+    per pair, on every batch path."""
+    values = [(1, 2), (0, 5), (1, 1), (0, 0)]
+    ledger, ids = new_session(make(values))
+    assert ledger.compare_batch(np.array([0, 0]), np.array([1, 2])).tolist() == [
+        ledger.compare(0, 1), ledger.compare(0, 2)] == [1, 1]
+    assert ledger.less_batch(np.array([0, 1, 3]), 2).tolist() == [False, True, True]
+    assert count_runs(ledger, ids) == [[0], [1, 2], [3]]
+    assert int(ledger.counts.sum()) == 2 * ledger.total
+    rng = np.random.default_rng(40)
+    wide = [tuple(row) for row in rng.integers(0, 3, size=(40, 2)).tolist()]
+    ledger, ids = new_session(make(wide))
+    assert network_sort(ledger, ids) == audit_sorted(ledger, ids)
+    assert int(ledger.counts.sum()) == 2 * ledger.total

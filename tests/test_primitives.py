@@ -1,6 +1,7 @@
 """Sorting network, tournament, galloping merge, deterministic selection."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility import primitives
+from fragility import generators, primitives
 from fragility.errors import EmptyInput, RankOutOfRange
 from fragility.ledger import audit_sorted, new_session
 from fragility.primitives import (
@@ -198,6 +199,27 @@ def test_mom_select_matches_oracle(values, data):
     k = data.draw(st.integers(0, len(values) - 1))
     ledger, ids = new_session(values)
     assert mom_select(ledger, ids, k) == audit_sorted(ledger, ids)[k]
+
+
+# k -> (answer, total, sha256 of json.dumps(counts.tolist())), measured on the
+# list-based partition loop that the batched partition replaced
+MOM_SELECT_PINS = {
+    0: (526, 8099, "27b13d122b4b6fc81f7674b6c8bb16f0ba356bd6a28806fc2f0611bb47c033c2"),
+    333: (341, 8131, "7a3abe6f1eef769de8dc972aea9f5ce4ad3f7031f59b83571ac8d692db0a3be6"),
+    499: (472, 8271, "0c2d044df164b6897db60a8e0bd90c279c0252dc3563e605582b8053fe93b1e2"),
+    998: (303, 7785, "49d7d6459f638bd8d1d9dd523841aa6fb692623fd25e3ae860403867ea9c23de"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(MOM_SELECT_PINS))
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+def test_mom_select_counts_are_pinned_with_duplicates(k, make):
+    """n = 1000 payloads in tied pairs: every element's count is pinned."""
+    values = generators.with_duplicates(generators.gen_random(1000, np.random.default_rng(16)))
+    ledger, ids = new_session(make(values))
+    res = mom_select(ledger, ids, k)
+    digest = hashlib.sha256(json.dumps(ledger.counts.tolist()).encode()).hexdigest()
+    assert (res, ledger.total, digest) == MOM_SELECT_PINS[k]
 
 
 def test_mom_select_rank_out_of_range():

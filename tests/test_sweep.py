@@ -51,6 +51,21 @@ def test_a_bad_list_entry_exits_2_before_any_trial(tmp_path, capsys):
     assert f"{bad}: spec key 'n': cannot read 'abc'" in captured.err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("algorithm = median_two_runs\ngenerator = two_runs\nn = 100\nsplit = 5, 500\n",
+     "split=500 infeasible for n=100"),
+    ("algorithm = select_kth\nn = 100\nk = 5, 100\n", "k=100 outside [0, 100)"),
+])
+def test_an_infeasible_list_entry_exits_2_before_any_trial(text, message, tmp_path, capsys):
+    """The first combination is valid, the second not: neither runs."""
+    path = _spec_file(tmp_path, "bad.spec", text + "trials = 1\n")
+    outdir = tmp_path / "out"
+    assert cli.main(["sweep", path, "--outdir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not outdir.exists()
+    assert f"{path}: {message}" in captured.err
+
+
 def test_two_combinations_with_one_report_name_exit_2(tmp_path, capsys):
     """Same-stem files in two directories would write one report over the other."""
     paths = []

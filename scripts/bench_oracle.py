@@ -22,8 +22,12 @@ trial of ``run_experiment`` on C3's offset_search spec (n = 1024, 10^4
 uniform-rank searches).  ``less`` times scalar ``ComparisonLedger.less``
 over the ``LESS_N - 1`` neighbour pairs of a list session of ``LESS_N``
 random payloads, outside any phase (``outside``) and inside one
-(``in_phase``), in nanoseconds per call.  Prints one JSON object of median
-and best microseconds per step and size (nanoseconds per call for ``less``).
+(``in_phase``), in nanoseconds per call.  ``less_batch`` times one
+``ComparisonLedger.less_batch`` of ``BATCH_PAIRS`` pairs, about as many as a
+small-many trial's batches hold, on an array session of ``BATCH_N`` random
+payloads, outside and inside a phase, in nanoseconds per call.  Prints one
+JSON object of median and best microseconds per step and size (nanoseconds
+per call for ``less`` and ``less_batch``).
 To compare two checkouts, run it alternately with each one's ``src``
 directory:
 
@@ -47,6 +51,8 @@ SAMPLES = 15  # timed samples per size
 INV_N = 1 << 15  # C8's largest controlled_inv inputs
 INVS = (16, 4096)
 LESS_N = 1 << 15  # a list session's payloads for the scalar ``less`` step
+BATCH_N = 100  # small-many's n, for the ``less_batch`` step
+BATCH_PAIRS = 38  # pairs per ``less_batch`` call
 SLOW_SAMPLES = 5  # timed samples per step that takes up to seconds
 SAMPLE_S = 0.05  # seconds of repetitions per sample
 
@@ -88,9 +94,24 @@ def time_select_trial(harness) -> dict:
     }
 
 
+def time_in_and_out_of_phase(ledger, step, calls: int) -> dict:
+    """Median and best nanoseconds per call of ``step``, which makes
+    ``calls`` calls, outside a phase and inside one."""
+
+    def in_phase():
+        with ledger.in_phase("bench"):
+            step()
+
+    out = {}
+    for mode, run in (("outside", step), ("in_phase", in_phase)):
+        us = time_step(run, SLOW_SAMPLES)
+        out[mode] = {"median_ns": us["median_us"] * 1e3 / calls,
+                     "best_ns": us["best_us"] * 1e3 / calls, "reps": us["reps"]}
+    return out
+
+
 def time_less(ledger, ids) -> dict:
-    """Median and best nanoseconds per scalar ``less`` over neighbour pairs,
-    outside a phase and inside one."""
+    """Nanoseconds per scalar ``less`` over neighbour pairs."""
     pairs = list(zip(ids[1:], ids[:-1]))
 
     def scan():
@@ -98,16 +119,7 @@ def time_less(ledger, ids) -> dict:
         for a, b in pairs:
             less(a, b)
 
-    def scan_in_phase():
-        with ledger.in_phase("bench"):
-            scan()
-
-    out = {}
-    for mode, step in (("outside", scan), ("in_phase", scan_in_phase)):
-        us = time_step(step, SLOW_SAMPLES)
-        out[mode] = {"median_ns": us["median_us"] * 1e3 / len(pairs),
-                     "best_ns": us["best_us"] * 1e3 / len(pairs), "reps": us["reps"]}
-    return out
+    return time_in_and_out_of_phase(ledger, scan, len(pairs))
 
 
 def main() -> int:
@@ -167,6 +179,11 @@ def main() -> int:
     out["offset_search"] = {"1024x10000": time_step(lambda: run_experiment(spec), SLOW_SAMPLES)}
     payloads = generators.gen_random(LESS_N, np.random.default_rng(LESS_N))
     out["less"] = {str(LESS_N): time_less(*new_session(np.asarray(payloads).tolist()))}
+    ledger, _ = new_session(generators.gen_random(BATCH_N, np.random.default_rng(BATCH_N)))
+    a = np.arange(0, 2 * BATCH_PAIRS, 2, dtype=np.intp)  # disjoint pairs (a, a + 1)
+    b = a + 1
+    batch = lambda: ledger.less_batch(a, b)
+    out["less_batch"] = {f"{BATCH_N}x{BATCH_PAIRS}": time_in_and_out_of_phase(ledger, batch, 1)}
     print(json.dumps(out))
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -114,6 +115,9 @@ class ExperimentSpec:
                 raise ConfigError(f"k={self.k} infeasible for n={self.n}")
         if self.generator == "adversarial_run_plus_one" and self.n < 2:
             raise ConfigError(f"generator 'adversarial_run_plus_one' needs n >= 2, not {self.n}")
+        if self.algorithm == "median_two_runs" and not _two_runs_at_every_seed(self):
+            raise ConfigError(f"median_two_runs needs a two-run input: generator {self.generator!r}"
+                              f" can give more runs at n={self.n} (use two_runs)")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
@@ -134,6 +138,23 @@ class ExperimentSpec:
         spec = cls(**kwargs)
         spec.validate()
         return spec
+
+
+def _two_runs_at_every_seed(spec: ExperimentSpec) -> bool:
+    """Whether ``spec``'s generator gives at most two runs at every seed, as
+    ``median_two_runs`` needs.  Three runs take two descents: four distinct
+    payloads, or three strictly descending ones."""
+    n = spec.n
+    # duplicates only merge runs; three paired payloads cannot descend twice
+    if n <= (3 if spec.duplicates else 2) or spec.generator in ("two_runs", "adversarial_run_plus_one"):
+        return True
+    if spec.generator == "controlled_runs":
+        return spec.runs is None or spec.runs <= 2  # None: the default 2
+    if spec.generator == "controlled_inv":  # None: n inversions
+        return (n if spec.inv is None else spec.inv) <= (2 if n == 3 else 1)
+    if spec.generator == "lower_bound":  # a shuffled prefix of isqrt(k) values
+        return math.isqrt(n if spec.k is None else spec.k) <= (3 if spec.duplicates else 2)
+    return False
 
 
 def read_spec_file(path: str) -> dict[str, str]:
@@ -285,8 +306,10 @@ class _OracleThread(threading.Thread):
 # 2^16 the two threads' contention for the GIL costs more than the overlap
 # saves: a select_kth trial took 70% longer at 8192 and 12% longer at 2^15.
 # At 2^16 it took 14% less, and algorithms that compare one pair at a time
-# took between 2% less and 7% more (medians of alternating in-process runs).
+# took between 2% less and 7% more (medians of alternating in-process runs),
+# so only the array-native algorithms in OVERLAPPED run beside the thread.
 OVERLAP_MIN_N = 1 << 16
+OVERLAPPED = ("select_kth",)
 
 
 def _load(ledger: ComparisonLedger, counts: np.ndarray) -> dict:
@@ -305,7 +328,7 @@ def _load(ledger: ComparisonLedger, counts: np.ndarray) -> dict:
     }
 
 
-def _ordering_runner(call, answer):
+def _ordering_runner(call, answer, overlap):
     """generate -> session -> ``call`` and the oracle -> row -> check the
     result against the oracle.
 
@@ -315,11 +338,11 @@ def _ordering_runner(call, answer):
     must equal, or is None when the call sets ``correct`` itself.
 
     The oracle reads only the payload array, never the ledger or the rng, so
-    from :data:`OVERLAP_MIN_N` elements on it runs on an :class:`_OracleThread`
-    while ``call`` runs here.  It spends most of its time in numpy calls that
-    release the GIL, as an array-native algorithm such as ``select_kth`` does.
-    The thread is joined before the runner returns or raises, and the row is
-    the same either way.
+    where ``overlap`` is set, from :data:`OVERLAP_MIN_N` elements on, it runs
+    on an :class:`_OracleThread` while ``call`` runs here.  It spends most of
+    its time in numpy calls that release the GIL, as ``select_kth`` does.  The
+    thread is joined before the runner returns or raises, and the row is the
+    same either way.
     """
 
     def run(spec, rng):
@@ -327,7 +350,7 @@ def _ordering_runner(call, answer):
         ledger, ids = new_session(vals)
         arr = np.asarray(vals)
         extra: dict = {}
-        if arr.size < OVERLAP_MIN_N:
+        if not overlap or arr.size < OVERLAP_MIN_N:
             res = call(ledger, ids, arr, extra, spec, rng)
             order, runs, inv = _oracle(arr)
         else:
@@ -499,7 +522,8 @@ SEARCHES: dict[str, Callable] = {
 # name -> runner(spec, rng) -> row
 ALGORITHMS: dict[str, Callable] = {
     **SEARCHES,
-    **{name: _ordering_runner(call, answer) for name, (call, answer) in ORDERINGS.items()},
+    **{name: _ordering_runner(call, answer, name in OVERLAPPED)
+       for name, (call, answer) in ORDERINGS.items()},
 }
 
 

@@ -82,9 +82,10 @@ def build_schedule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # Small networks are faster one comparator at a time than one numpy batch per
-# layer (CPython 3.11 on a Xeon vCPU, 5 wires: ~27 us against ~250 us; the
-# two meet near 50 wires).  Every mom_select group and base case has at most
-# 10 wires.
+# layer: on a warm schedule (CPython 3.11.7, 2 vCPU), ~30-65 against ~190-310 us
+# at 16 wires, ~250 against ~380 us at 64, ~530 against ~480 us at 100.  Every
+# mom_select group and base case has at most 10 wires, and an n = 100 run of
+# every algorithm sorts 10 networks of 17-64 wires in 2632: too few to gain.
 SCALAR_NETWORK_WIRES = 16
 
 

@@ -245,6 +245,35 @@ def test_spec_accepts_the_edges_of_split_k_and_n(fields):
     assert run_experiment(spec).rows
 
 
+@pytest.mark.parametrize("fields,accepted", [
+    (dict(generator="two_runs", split=30), True),
+    (dict(generator="adversarial_run_plus_one"), True),
+    (dict(generator="controlled_runs"), True),
+    (dict(generator="controlled_runs", runs=2, duplicates=True), True),
+    (dict(generator="controlled_inv", inv=1), True),
+    (dict(generator="lower_bound", k=15, duplicates=True), True),
+    (dict(generator="random", n=2), True),
+    (dict(generator="random"), False),
+    (dict(generator="random", duplicates=True), False),
+    (dict(generator="controlled_runs", runs=3), False),
+    (dict(generator="controlled_inv", inv=2), False),
+    (dict(generator="lower_bound", k=9), False),
+])
+def test_median_two_runs_validates_where_every_seed_gives_two_runs(fields, accepted):
+    """validate accepts a median_two_runs spec where its runner never raises,
+    and rejects one where some seed gives three runs."""
+    spec = ExperimentSpec(**{"algorithm": "median_two_runs", "n": 100, "trials": 30, **fields})
+    if accepted:
+        spec.validate()
+        assert run_experiment(spec).aggregates["correct_fraction"] == 1.0
+        return
+    with pytest.raises(ConfigError, match="two-run input: generator"):
+        spec.validate()
+    with pytest.raises(ConfigError, match=r"two-run input \(use two_runs\)"):
+        for seed in range(100):
+            ALGORITHMS["median_two_runs"](spec, np.random.default_rng(seed))
+
+
 @pytest.mark.parametrize(
     "algorithm,generator", [("tournament_min", "uniform_ranks"), ("exp_search", "controlled_runs")]
 )
@@ -335,13 +364,9 @@ def test_runner_raises_when_the_counts_miss_a_comparison(spec, monkeypatch):
     assert int(sums[1]) == int(sums[2]) - 2
 
 
-@pytest.mark.parametrize("spec", [
-    ExperimentSpec(algorithm="sort_by_inv", generator="controlled_inv", n=harness.OVERLAP_MIN_N + 1,
-                   inv=300, trials=2, seed=4),
-    ExperimentSpec(algorithm="median_by_runs", generator="controlled_runs",
-                   n=harness.OVERLAP_MIN_N + 1, runs=5, trials=2, seed=4),
-], ids=["sort_by_inv", "median_by_runs"])
-def test_overlapped_oracle_rows_equal_inline_rows(spec, monkeypatch):
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The oracle threads that the test's runs start."""
     started = []
 
     class Recording(harness._OracleThread):
@@ -350,25 +375,48 @@ def test_overlapped_oracle_rows_equal_inline_rows(spec, monkeypatch):
             super().start()
 
     monkeypatch.setattr(harness, "_OracleThread", Recording)
+    return started
+
+
+def test_overlapped_oracle_rows_equal_inline_rows(started_threads, monkeypatch):
+    spec = ExperimentSpec(algorithm="select_kth", n=harness.OVERLAP_MIN_N + 1, k=4, epsilon=0.25,
+                          trials=2, seed=4)
     overlapped = run_experiment(spec).to_json()
-    assert len(started) == spec.trials
+    assert len(started_threads) == spec.trials
     monkeypatch.setattr(harness, "OVERLAP_MIN_N", spec.n + 1)
     assert run_experiment(spec).to_json() == overlapped
-    assert len(started) == spec.trials  # the second run kept the oracle inline
+    assert len(started_threads) == spec.trials  # the second run kept the oracle inline
 
 
-def test_a_raising_large_trial_leaves_no_thread(tmp_path, capsys):
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(algorithm="sort_by_inv", generator="controlled_inv", n=harness.OVERLAP_MIN_N + 1,
+                   inv=300, trials=1, seed=4),
+    ExperimentSpec(algorithm="median_by_runs", generator="controlled_runs",
+                   n=harness.OVERLAP_MIN_N + 1, runs=5, trials=1, seed=4),
+], ids=["sort_by_inv", "median_by_runs"])
+def test_the_oracle_overlaps_only_array_native_algorithms(spec, started_threads):
+    """Algorithms that compare in Python loops hold the GIL: their oracle stays inline."""
+    assert spec.algorithm not in harness.OVERLAPPED
+    assert run_experiment(spec).aggregates["correct_fraction"] == 1.0
+    assert started_threads == []
+
+
+def test_a_raising_large_trial_leaves_no_thread(tmp_path, capsys, monkeypatch, started_threads):
+    def fail(*args, **kwargs):
+        raise ConfigError("select_kth failed")
+
+    monkeypatch.setattr(harness, "select_kth", fail)
     threads = threading.active_count()
     n = harness.OVERLAP_MIN_N
-    spec = ExperimentSpec(algorithm="median_two_runs", generator="random", n=n, trials=1)
-    with pytest.raises(ConfigError, match="two-run input"):
+    spec = ExperimentSpec(algorithm="select_kth", n=n, trials=1)
+    with pytest.raises(ConfigError, match="select_kth failed"):
         run_experiment(spec)
     assert threading.active_count() == threads
-    assert cli.main(["run", "--algo", "median_two_runs", "--generator", "random",
-                     "--n", str(n), "--trials", "1",
+    assert cli.main(["run", "--algo", "select_kth", "--n", str(n), "--trials", "1",
                      "--out", str(tmp_path / "report.json")]) == 2
-    assert "two-run input" in capsys.readouterr().err
+    assert "select_kth failed" in capsys.readouterr().err
     assert threading.active_count() == threads
+    assert len(started_threads) == 2  # each run overlapped its oracle
 
 
 def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch):

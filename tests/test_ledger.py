@@ -390,9 +390,13 @@ def test_compare_batch_with_a_single_id_rejects_bad_ids(values):
     assert ledger.total == 0 and ledger.counts.tolist() == [0, 0, 0]
 
 
+# payloads -3..3 as floats: unordered NaNs and equal zeros of either sign
+_FLOATS = (np.nan, -0.0, 0.0, -2.5, 0.0, np.nan, -0.0)
+
 _SESSIONS = {
     "list": lambda values: values,
     "array": np.array,
+    "float": lambda values: np.array([_FLOATS[v + 3] for v in values]),
     "object": lambda values: [Fraction(v) for v in values],  # the per-pair fallback
 }
 
@@ -446,3 +450,41 @@ def test_tuple_payloads_batch_as_compare_does(make):
     ledger, ids = new_session(make(wide))
     assert network_sort(ledger, ids) == audit_sorted(ledger, ids)
     assert int(ledger.counts.sum()) == 2 * ledger.total
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+def test_ids_outside_the_session_raise_before_any_count(make):
+    """A memoryview counter would read -1 as its last item: the check comes first."""
+    ledger, _ = new_session(make([4, 1, 3]))
+    for call, a, b in ((ledger.compare, -1, 0), (ledger.less, 0, -1), (ledger.compare, 0, 3)):
+        for phase in (False, True):
+            with ledger.in_phase("p") if phase else contextlib.nullcontext():
+                with pytest.raises(UnknownElement):
+                    call(a, b)
+    assert ledger.counts.tolist() == ledger.phase_counts("p").tolist() == [0, 0, 0]
+    assert ledger.total == 0
+
+
+@pytest.mark.parametrize("phase", [False, True])
+def test_scalar_and_batch_counts_add_up_in_one_array(phase):
+    ledger, _ = new_session(np.array([4, 1, 3, 0]))
+    with ledger.in_phase("p") if phase else contextlib.nullcontext():
+        ledger.compare(0, 1)
+        ledger.less(2, 0)
+        ledger.compare_batch(np.array([0, 3]), 1)
+        ledger.less_batch(np.array([0, 2]), np.array([3, 1]))
+    assert ledger.counts.tolist() == [4, 4, 2, 2]
+    assert ledger.total == 6 and int(ledger.counts.sum()) == 12
+    assert ledger.phase_counts("p").tolist() == ([4, 4, 2, 2] if phase else [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("values", [["a\x00", "a", "b"], [b"a\x00", b"a", b"b"]], ids=["str", "bytes"])
+def test_trailing_nuls_compare_per_pair(values):
+    """A numpy U or S array drops trailing NULs, so the batch must not use it."""
+    ledger, _ = new_session(values)
+    assert ledger._vnum is None
+    assert ledger.compare_batch(np.array([0, 1]), np.array([1, 2])).tolist() == [
+        ledger.compare(0, 1), ledger.compare(1, 2)] == [1, -1]
+    assert ledger.less_batch(np.array([1, 2]), 0).tolist() == [
+        ledger.less(1, 0), ledger.less(2, 0)] == [True, False]
+    assert ledger.counts.tolist() == [6, 6, 4] and ledger.total == 8

@@ -55,6 +55,8 @@ def test_a_bad_list_entry_exits_2_before_any_trial(tmp_path, capsys):
     ("algorithm = median_two_runs\ngenerator = two_runs\nn = 100\nsplit = 5, 500\n",
      "split=500 infeasible for n=100"),
     ("algorithm = select_kth\nn = 100\nk = 5, 100\n", "k=100 outside [0, 100)"),
+    ("algorithm = median_two_runs\ngenerator = two_runs, random\nn = 100\n",
+     "median_two_runs needs a two-run input: generator 'random' can give more runs at n=100"),
 ])
 def test_an_infeasible_list_entry_exits_2_before_any_trial(text, message, tmp_path, capsys):
     """The first combination is valid, the second not: neither runs."""

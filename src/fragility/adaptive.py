@@ -10,7 +10,6 @@ comparator-network building blocks.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,29 +134,23 @@ def extract_sorted_run(
     ids = list(seq)
     if not ids:
         raise EmptyInput("extraction from empty input")
-    stack: list[int] = [ids[0]]
-    marks: dict[int, int] = {ids[0]: 0}
+    stack: list[int] = []
+    marks: list[int] = []  # marks[i] belongs to stack[i]
     removed: list[int] = []
-    for e in ids[1:]:
-        if not stack:
+    for e in ids:
+        if not stack or ledger.less(stack[-1], e):
             stack.append(e)
-            marks[e] = 0
+            marks.append(0)
             continue
-        top = stack[-1]
-        if ledger.less(top, e):
-            stack.append(e)
-            marks[e] = 0
-            continue
-        # e inverts with top: e goes to I, top gets a mark
+        # e inverts with the top: e goes to I, the top gets a mark
         removed.append(e)
-        marks[top] += 1
-        while stack and marks[stack[-1]] == 2:
-            popped = stack.pop()
-            removed.append(popped)
-            del marks[popped]
+        marks[-1] += 1
+        while marks and marks[-1] == 2:
+            removed.append(stack.pop())
+            marks.pop()
             # one mark accounts for the pop; the other moves to the new top
-            if stack:
-                marks[stack[-1]] += 1
+            if marks:
+                marks[-1] += 1
     return stack, removed
 
 
@@ -190,73 +183,38 @@ def median_two_runs(
 ) -> int:
     """Lower median of the union of two ascending runs in O(1) fragility.
 
-    Each step compares the middles of the live windows and discards equally
-    many elements certainly below and certainly above the median, one chunk
-    from an end of each run; middles are fresh elements every time.  The base
-    case sorts a window of at most five candidates around the target rank.
+    The runs are indexed 0 (``run1``) and 1 (``run2``), each with a live
+    half-open window ``[lo[i], hi[i])``.  Each step compares the middles of
+    the two windows and discards equally many elements certainly below and
+    certainly above the median, one chunk from an end of each window; middles
+    are fresh elements every time.  The base case sorts a window of at most
+    five candidates around the target rank.
     """
-    a = list(run1)
-    b = list(run2)
-    if not a and not b:
+    runs = (list(run1), list(run2))
+    if not runs[0] and not runs[1]:
         raise EmptyInput("median of empty union")
-    alo, ahi = 0, len(a)
-    blo, bhi = 0, len(b)
+    lo = [0, 0]
+    hi = [len(runs[0]), len(runs[1])]
     while True:
-        na = ahi - alo
-        nb = bhi - blo
-        if min(na, nb) <= 2:
+        size = [hi[0] - lo[0], hi[1] - lo[1]]
+        s = int(size[1] < size[0])  # the shorter window; a tie picks run 0
+        l = 1 - s
+        if size[s] <= 2:
             break
-        if na <= nb:
-            s, slo, shi, ns = a, alo, ahi, na
-            l, llo, lhi, nl = b, blo, bhi, nb
-            short_is_a = True
+        h = (size[s] - 1) // 2
+        if ledger.less(runs[s][lo[s] + h], runs[l][lo[l] + (size[l] - 1) // 2]):
+            # front of the short window is below the median, back of the long above
+            lo[s] += h
+            hi[l] -= h
         else:
-            s, slo, shi, ns = b, blo, bhi, nb
-            l, llo, lhi, nl = a, alo, ahi, na
-            short_is_a = False
-        h = (ns - 1) // 2
-        x = s[slo + (ns - 1) // 2]
-        y = l[llo + (nl - 1) // 2]
-        if ledger.less(x, y):
-            # front of the short run is below the median, back of the long above
-            slo += h
-            lhi -= h
-        else:
-            shi -= h
-            llo += h
-        if short_is_a:
-            alo, ahi, blo, bhi = slo, shi, llo, lhi
-        else:
-            blo, bhi, alo, ahi = slo, shi, llo, lhi
+            hi[s] -= h
+            lo[l] += h
     # base case: the target sits in a window of <= 5 candidates
-    na = ahi - alo
-    nb = bhi - blo
-    if na <= nb:
-        short = a[alo:ahi]
-        longw = b[blo:bhi]
-    else:
-        short = b[blo:bhi]
-        longw = a[alo:ahi]
-    r = (na + nb - 1) // 2
-    ns = len(short)
-    lo = max(0, r - ns)
-    hi = min(len(longw), r + 1)
-    candidates = short + longw[lo:hi]
-    ordered = network_sort(ledger, candidates)
-    return ordered[r - lo]
-
-
-@dataclass
-class _LiveRun:
-    elems: list[int]
-    lo: int
-    hi: int
-    low_cursor: int = 0
-    high_cursor: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
+    r = (size[0] + size[1] - 1) // 2
+    skip = max(0, r - size[s])  # long-window elements certainly below rank r
+    longw = runs[l][lo[l] + skip : lo[l] + min(size[l], r + 1)]
+    ordered = network_sort(ledger, runs[s][lo[s] : hi[s]] + longw)
+    return ordered[r - skip]
 
 
 def median_by_runs(
@@ -266,15 +224,16 @@ def median_by_runs(
 ) -> int:
     """Lower median with per-element cost driven by the number of runs.
 
-    Short runs (below 7*ceil(log2 n) elements) are parked in a side pool.
-    Each round selects one partitioning element per long run from a block
-    known to have a constant fraction of the run on either side, orders the
-    partitioning elements with the comparator network, and discards equally
-    many elements certainly below and certainly above the median — all
-    without touching the discarded elements.  Once few elements remain, the
-    survivors plus the pool are handed to the network-sort median.  If
-    ``log`` is given, each removal step appends its ``(removed_low,
-    removed_high)`` lists to it.
+    Short runs (below 7*ceil(log2 n) elements) are parked in a side pool; a
+    long run stays live as a window ``[run, lo, hi]``.  In round k, every
+    live run is probed at each end at offset ``k mod L`` (L = ceil(log2 n))
+    from the start of a block of L known to have a constant fraction of the
+    run on either side.  The comparator network orders the low probes and
+    the high probes, and the round discards equally many elements certainly
+    below and certainly above the median, none of which it compares.
+    Once few elements remain, the survivors plus the pool are handed to the
+    network-sort median.  If ``log`` is given, each round appends its
+    ``(removed_low, removed_high)`` lists to it.
     """
     ids = list(seq)
     n = len(ids)
@@ -285,98 +244,65 @@ def median_by_runs(
     L = max(1, ceil_log2(n))
     with ledger.in_phase(PHASE_SCAN):
         runs = count_runs(ledger, ids)
-    runs_count = len(runs)
-    if 4 * runs_count * L >= n // 2:
+    if 4 * len(runs) * L >= n // 2:
         with ledger.in_phase(PHASE_FINAL):
             return small_median(ledger, ids)
 
-    live = [_LiveRun(elems=run, lo=0, hi=len(run)) for run in runs]
+    live = [[run, 0, len(run)] for run in runs]
     pool: list[int] = []
-    short_len = 7 * L
-    threshold = 64 * runs_count * L
-
+    threshold = 64 * len(runs) * L
+    rnd = 0
     while True:
         # park runs that are (or have become) short
-        keep = []
-        for r in live:
-            if r.size < short_len:
-                pool.extend(r.elems[r.lo : r.hi])
-            else:
-                keep.append(r)
-        live = keep
-        N = sum(r.size for r in live)
+        for run, lo, hi in live:
+            if hi - lo < 7 * L:
+                pool.extend(run[lo:hi])
+        live = [w for w in live if w[2] - w[1] >= 7 * L]
+        N = sum(hi - lo for _, lo, hi in live)
         if N <= threshold or not live:
             break
 
-        removed_low: list[int] = []
-        removed_high: list[int] = []
-
-        def pick(run: _LiveRun, from_low: bool) -> tuple[int, int]:
-            """Partitioning element and the count of elements beyond it."""
-            b = max(2, -(-run.size // (7 * L)))  # ceil, clamped off the edge
-            if from_low:
-                start = run.lo + (b - 1) * L
-                off = run.low_cursor % L
-                run.low_cursor += 1
-            else:
-                start = run.hi - b * L
-                off = run.high_cursor % L
-                run.high_cursor += 1
-            return run.elems[start + off], (b - 1) * L
-
-        low_info = {}
-        high_info = {}
-        low_elems = []
-        high_elems = []
-        for run in live:
-            x, margin = pick(run, from_low=True)
-            low_info[x] = (run, margin)
-            low_elems.append(x)
-            x, margin = pick(run, from_low=False)
-            high_info[x] = (run, margin)
-            high_elems.append(x)
+        # at each end, (b-1)*L elements lie beyond the block probed
+        owner = {}  # probe -> (window, its size, its margin)
+        probes = ([], [])
+        for w in live:
+            run, lo, hi = w
+            b = max(2, -(-(hi - lo) // (7 * L)))  # ceil, clamped off the edge
+            for end, start in enumerate((lo + (b - 1) * L, hi - b * L)):
+                x = run[start + rnd % L]
+                owner[x] = (w, hi - lo, (b - 1) * L)
+                probes[end].append(x)
+        rnd += 1
         with ledger.in_phase(PHASE_PARTITION_SORT):
-            low_order = network_sort(ledger, low_elems)
-            high_order = network_sort(ledger, high_elems)
-        high_order.reverse()  # largest partitioning element first
-
-        def take_budget(order, info):
-            # t = largest index whose predecessors sum to < N/8 elements
+            orders = [network_sort(ledger, p) for p in probes]
+        orders[1].reverse()  # largest high probe first
+        # per end: the probes whose predecessors' runs sum to < N/8 elements
+        chosen = ([], [])
+        for end, order in enumerate(orders):
             total = 0
-            t = 0
-            for idx in range(len(order)):
-                if total < N / 8:
-                    t = idx + 1
-                total += info[order[idx]][0].size
-            return sum(info[e][1] for e in order[:t]), order[:t]
-
-        cnt_low, low_runs = take_budget(low_order, low_info)
-        cnt_high, high_runs = take_budget(high_order, high_info)
-        m = min(cnt_low, cnt_high)
+            for x in order:
+                if total >= N / 8:
+                    break
+                chosen[end].append(x)
+                total += owner[x][1]
+        m = min(sum(owner[x][2] for x in xs) for xs in chosen)
         if m == 0:
             break  # no certified removals available; finish on what remains
-        remaining = m
-        for e in low_runs:
-            run, margin = low_info[e]
-            take = min(margin, remaining)
-            removed_low.extend(run.elems[run.lo : run.lo + take])
-            run.lo += take
-            remaining -= take
-            if remaining == 0:
-                break
-        remaining = m
-        for e in high_runs:
-            run, margin = high_info[e]
-            take = min(margin, remaining)
-            removed_high.extend(run.elems[run.hi - take : run.hi])
-            run.hi -= take
-            remaining -= take
-            if remaining == 0:
-                break
+        removed = ([], [])
+        for end, xs in enumerate(chosen):
+            remaining = m
+            for x in xs:
+                w, _, margin = owner[x]
+                take = min(margin, remaining)
+                remaining -= take
+                edge = w[1 + end]
+                moved = edge - take if end else edge + take  # lo moves up, hi down
+                removed[end].extend(w[0][min(edge, moved) : max(edge, moved)])
+                w[1 + end] = moved
         if log is not None:
-            log.append((removed_low, removed_high))
+            log.append(removed)
 
-    survivors = pool + [e for r in live for e in r.elems[r.lo : r.hi]]
+    survivors = pool + [e for run, lo, hi in live for e in run[lo:hi]]
     with ledger.in_phase(PHASE_FINAL):
         return small_median(ledger, survivors)
 
@@ -466,7 +392,7 @@ def sort_by_inv(ledger: ComparisonLedger, seq: Sequence[int]) -> list[int]:
 
     assoc: list[list[int]] = [[] for _ in range(nblocks)]
     for i, e in enumerate(I):
-        col = [R[j * s + i] for j in range(nblocks) if j * s + i < len(R)]
+        col = R[i::s]  # the i-th entry of every block
         # origin block: where the element sat in the input, mapped into R
         p = input_pos[e]
         r0 = max(0, bisect.bisect_right(r_input_pos, p) - 1)

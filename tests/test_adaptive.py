@@ -206,10 +206,10 @@ def test_median_by_runs_matches_oracle_small(values):
     assert res == audit_sorted(ledger, ids)[(len(ids) - 1) // 2]
 
 
-@pytest.mark.parametrize("runs", [1, 2, 8])
-def test_median_by_runs_controlled_with_balanced_removals(runs):
+@pytest.mark.parametrize("runs,n", [(1, 4096), (2, 4096), (8, 1 << 14)])
+def test_median_by_runs_controlled_with_balanced_removals(runs, n):
+    # n is large enough for removal rounds: at n = 4096, Runs = 8 runs none
     rng = np.random.default_rng(runs)
-    n = 4096
     values = generators.gen_controlled_runs(n, runs, rng)
     ledger, ids = new_session(values)
     log = []
@@ -217,6 +217,7 @@ def test_median_by_runs_controlled_with_balanced_removals(runs):
     ordered = audit_sorted(ledger, ids)
     assert res == ordered[(n - 1) // 2]
     rank = {e: r for r, e in enumerate(ordered)}
+    assert log
     for removed_low, removed_high in log:
         # balanced: equally many certified-low and certified-high removals,
         # none of which is the global median

@@ -464,6 +464,22 @@ def test_report_and_verdict_digests_are_pinned():
     assert digest == "443c6c7d8077715f3a99caf3a72001de595f3c28ef2190fe2c2afe20292b70ea"
 
 
+def test_median_by_runs_removal_round_digest_is_pinned():
+    """Report bytes of ``median_by_runs`` at n = 4096, Runs 1, 2 and 4, with
+    and without duplicates.  Unlike the n = 100 specs above, which all take
+    the small-median fallback, every one of these trials runs removal rounds,
+    so a moved count in the rounds shows up here.  ROADMAP item 2 (a finish
+    that uses the runs) will re-pin it on purpose."""
+    lines = []
+    for runs in (1, 2, 4):
+        for dup in (False, True):
+            spec = ExperimentSpec(algorithm="median_by_runs", generator="controlled_runs",
+                                  n=4096, runs=runs, trials=3, seed=1, duplicates=dup)
+            lines.append(hashlib.sha256(run_experiment(spec).to_json().encode()).hexdigest())
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "43c726ba247d9559b11ad6dc4bb008f8974426b25a6086e445603ec2633f2a83"
+
+
 def test_report_round_trip_and_csv():
     spec = ExperimentSpec(algorithm="tournament_min", n=64, trials=3, seed=1)
     report = run_experiment(spec)

@@ -342,20 +342,12 @@ def _column_search(
     if n == 0:
         return -1
     j0 = min(max(j0, 0), n - 1)
-    if below(j0):
-        # answer is at or right of j0: double until a non-below probe
-        step = 1
-        while j0 + step < n and below(j0 + step):
-            step *= 2
-        hi = min(j0 + step, n)
-        lo = j0 + step // 2
-    else:
-        # answer is left of j0
-        step = 1
-        while j0 - step >= 0 and not below(j0 - step):
-            step *= 2
-        lo = max(j0 - step, -1)
-        hi = j0 - step // 2
+    # d points from j0 toward the answer: double until a probe lands past it
+    d = 1 if below(j0) else -1
+    step = 1
+    while 0 <= j0 + d * step < n and below(j0 + d * step) == (d > 0):
+        step *= 2
+    lo, hi = sorted((j0 + d * (step // 2), min(max(j0 + d * step, -1), n)))
     # invariant: col[lo] < e (or lo == -1), col[hi] >= e (or hi == n)
     while hi - lo > 1:
         mid = (lo + hi) // 2

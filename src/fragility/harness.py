@@ -494,13 +494,13 @@ def _exp_search(ledger, view, queries, ranks, rng):
 
 
 def _offset_search(ledger, view, queries, ranks, rng):
-    structure = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     found, rank_repeats = [], 0
     for q in queries:
         used: list[int] = []
-        found.append(offset_search(ledger, structure, q, used))
+        found.append(offset_search(ledger, view, offsets, q, used))
         rank_repeats = max(rank_repeats, max(Counter(used).values(), default=0))
-    slack = budget_per_element(structure, found) - ledger.counts[: len(view)]
+    slack = budget_per_element(offsets, found) - ledger.counts[: len(view)]
     return found, {
         "min_slack": float(slack.min()),
         "violations": int((slack < 0).sum()),

@@ -5,17 +5,17 @@ order, and a search answers with the query's rank in that view: the number of
 view elements strictly smaller than the query, so the predecessor sits at
 position rank - 1 and rank 0 means it is absent.  Three searchers share that
 contract: plain exponential search, the offset-rotating dyadic-interval
-structure for search sequences, and a randomized offset-free variant.  The
-rotating structure spreads the array-side comparison load;
-:func:`potential_audit` and :func:`budget_per_element` make its amortized
-accounting executable.
+search for search sequences, and a randomized offset-free variant.  The
+rotating search spreads the array-side comparison load; its only state is the
+offsets table ``offsets[i][b]`` of :func:`build_offset_structure`.
+:func:`potential_audit`, an exact float, and :func:`budget_per_element`, the
+112/d terms summed in search order, make its amortized accounting executable.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .primitives import ceil_log2
 # Per-search amortized comparison budget on a fixed array element, expressed
 # per unit of inverse distance to the query.
 AMORTIZED_BUDGET_PER_DISTANCE = 112
+# budget_per_element adds up to this many (search, position) terms per numpy
+# pass (256 searches at n = 1024), which keeps its temporaries to a few MB
+_BUDGET_CELLS = 1 << 18
 
 
 def make_view(ids: Sequence[int]) -> tuple[int, ...]:
@@ -40,29 +43,19 @@ def exp_search(ledger: ComparisonLedger, view: tuple[int, ...], query: int) -> i
     its rank.
     """
     n = len(view)
-
-    def smaller(pos: int) -> bool:
-        return ledger.compare(query, view[pos]) > 0
-
     lo = 0  # positions < lo are known strictly smaller than the query
     hi = n  # positions >= hi are known >= the query
-    j = 0
-    prev = -1
-    while True:
-        pos = min((1 << j) - 1, n - 1)
-        if not smaller(pos):
+    step = 1
+    while lo < n:
+        pos = min(step - 1, n - 1)
+        if ledger.compare(query, view[pos]) <= 0:
             hi = pos
-            lo = prev + 1
             break
-        prev = pos
         lo = pos + 1
-        if pos == n - 1:
-            hi = n
-            break
-        j += 1
+        step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if smaller(mid):
+        if ledger.compare(query, view[mid]) > 0:
             lo = mid + 1
         else:
             hi = mid
@@ -74,35 +67,25 @@ def exp_search_query_budget(k: int) -> int:
     return 2 * (int(math.log2(k + 2)) + 2)
 
 
-class OffsetSearchStructure:
-    """Sorted array plus one rotating offset per dyadic aligned interval.
+def build_offset_structure(view: tuple[int, ...]) -> list[list[int]]:
+    """The rotating offsets of a view of n elements, all zero.
 
-    Aligned intervals are half-open index ranges [b*2^i, (b+1)*2^i) on the
-    grid padded to n_padded (smallest power of two >= n); only intervals
-    intersecting the real index range are materialized.  All offsets start
-    at zero.
+    ``offsets[i][b]`` belongs to the rank-i aligned interval
+    [b*2^i, (b+1)*2^i) of the grid padded to the next power of two; only
+    intervals that meet the real positions get a slot.  So n is
+    ``len(offsets[0])`` and the largest rank, ceil(log2 n), is
+    ``len(offsets) - 1``.
     """
-
-    def __init__(self, view: tuple[int, ...]) -> None:
-        self.view = view
-        self.n = len(view)
-        self.n_padded = 1 << ceil_log2(self.n) if self.n > 1 else 1
-        self.max_rank = ceil_log2(self.n_padded)
-        # offsets[i][b] for rank-i interval starting at b*2^i
-        self.offsets: list[list[int]] = [
-            [0] * (-(-self.n // (1 << i))) for i in range(self.max_rank + 1)
-        ]
-
-
-def build_offset_structure(view: tuple[int, ...]) -> OffsetSearchStructure:
-    return OffsetSearchStructure(view)
+    n = len(view)
+    return [[0] * -(-n >> i) for i in range(ceil_log2(n) + 1)]
 
 
 def offset_search(
     ledger: ComparisonLedger,
-    s: OffsetSearchStructure,
+    view: tuple[int, ...],
+    offsets: list[list[int]],
     query: int,
-    ranks_used: Optional[list[int]] = None,
+    ranks_used: list[int],
 ) -> int:
     """Predecessor search that rotates which element of an interval is probed.
 
@@ -110,50 +93,30 @@ def offset_search(
     intervals fully inside the live window, probes the floor-median
     non-extreme one at its current offset, then advances that offset modulo
     2^i.  Small windows finish with a left-to-right scan.  Each recursion's
-    rank i is appended to ``ranks_used`` when one is given.
+    rank i is appended to ``ranks_used``.
     """
-    view = s.view
-    n = s.n
-
-    def smaller(pos: int) -> bool:
-        return ledger.compare(query, view[pos]) > 0
-
+    n = len(view)
     lo = 0
-    hi = s.n_padded  # virtual positions >= n behave as plus-infinity
-    while True:
-        live_hi = min(hi, n)
-        span = live_hi - lo
-        if span <= 0:
-            break
+    hi = 1 << (len(offsets) - 1)  # virtual positions >= n behave as plus-infinity
+    while (live_hi := min(hi, n)) > lo:
         # largest rank with >= 3 fully contained live intervals
-        chosen = None
-        i = span.bit_length() - 1
-        while i >= 1:
+        for i in range((live_hi - lo).bit_length() - 1, 0, -1):
             first = (lo + (1 << i) - 1) >> i
             count = (live_hi >> i) - first
             if count >= 3:
-                chosen = (i, first, count)
                 break
-            i -= 1
-        if chosen is None:
+        else:
             # base case: compare against each remaining element left to right
-            pos = lo
-            while pos < live_hi:
-                if smaller(pos):
-                    lo = pos + 1
-                    pos += 1
-                else:
-                    hi = pos
-                    break
-            break
-        i, first, count = chosen
-        if ranks_used is not None:
-            ranks_used.append(i)
+            while lo < live_hi and ledger.compare(query, view[lo]) > 0:
+                lo += 1
+            return lo
+        ranks_used.append(i)
         block = first + (count - 1) // 2  # floor-median, never extreme
-        off = s.offsets[i][block]
+        row = offsets[i]
+        off = row[block]
+        row[block] = (off + 1) % (1 << i)
         pos = (block << i) + off
-        s.offsets[i][block] = (off + 1) % (1 << i)
-        if smaller(pos):
+        if ledger.compare(query, view[pos]) > 0:
             lo = pos + 1
         else:
             hi = pos
@@ -180,37 +143,43 @@ def randomized_search(
     return lo
 
 
-def potential_audit(s: OffsetSearchStructure, pos: int) -> Fraction:
+def potential_audit(offsets: list[list[int]], pos: int) -> float:
     """Potential phi of array position pos: sum over ranks i >= 1 of
     (2^i - t) / 2^i.
 
     t is how many offset increments the rank-i interval containing pos needs
-    before its probe lands on pos.  Arithmetic only; no counted comparisons.
+    before its probe lands on pos.  Every term is a multiple of 2^-m, where
+    m = ceil(log2 n) is the largest rank, and phi <= m, so a double holds
+    every partial sum exactly while m <= 47: phi and differences of phi are
+    exact.  Arithmetic only; no counted comparisons.
     """
-    phi = Fraction(0)
-    for i in range(1, s.max_rank + 1):
+    phi = 0.0
+    for i in range(1, len(offsets)):
         size = 1 << i
-        block = pos >> i
-        t = (pos - (block << i) - s.offsets[i][block]) % size
-        phi += Fraction(size - t, size)
+        t = (pos - offsets[i][pos >> i]) % size
+        phi += (size - t) / size
     return phi
 
 
-def distance_to(rank: int, pos: int) -> int:
+def distance_to(rank, pos):
     """Array distance between a query of this rank (sitting after its
-    predecessor at rank - 1) and array position pos; inclusive, minimum 1."""
-    return rank - pos if pos < rank else pos - rank + 1
+    predecessor at rank - 1) and array position pos; inclusive, minimum 1.
+    Takes ints or numpy arrays."""
+    return abs(2 * (pos - rank) + 1) // 2 + 1
 
 
-def budget_per_element(s: OffsetSearchStructure, ranks: Sequence[int]) -> np.ndarray:
-    """Amortized budget of every array position: ceil(log2 n_padded) plus,
-    over the searches answered with ``ranks`` in order, 112 / distance_to(rank,
-    position).  The ``offset-amortized`` bound checks the array's ledger
-    counts against it."""
-    budget = np.full(s.n, float(ceil_log2(s.n_padded)))
-    pos = np.arange(s.n)
-    for k in ranks:
-        d = np.where(pos < k, k - pos, pos - k + 1)
-        budget += AMORTIZED_BUDGET_PER_DISTANCE / d
+def budget_per_element(offsets: list[list[int]], ranks: Sequence[int]) -> np.ndarray:
+    """Amortized budget of every array position: ceil(log2 n) plus, over the
+    searches answered with ``ranks`` in order, 112 / distance_to(rank,
+    position).  The terms are added one search after another, as numpy's
+    axis-0 sum adds rows, so the floats do not depend on the batching.  The
+    ``offset-amortized`` bound checks the array's ledger counts against it."""
+    n = len(offsets[0])
+    budget = np.full(n, float(len(offsets) - 1))
+    pos = np.arange(n)
+    ranks = np.asarray(ranks, dtype=np.intp)[:, None]
+    step = max(1, _BUDGET_CELLS // max(n, 1))
+    for start in range(0, len(ranks), step):
+        rows = AMORTIZED_BUDGET_PER_DISTANCE / distance_to(ranks[start : start + step], pos)
+        budget = np.vstack((budget, rows)).sum(axis=0)
     return budget
-

@@ -101,7 +101,7 @@ def select_kth(
     index array until the backend, which gets a list; the result is an
     ``int`` on every branch.  Comparison counts are tagged with pre-filter and
     backend phases.  If `info` is given it is filled with the branch taken and
-    intermediate set sizes.
+    the sizes of the candidate set and of the filtered set.
     """
     pool = np.asarray(xs, dtype=np.intp)
     n = len(pool)
@@ -109,7 +109,7 @@ def select_kth(
         raise RankOutOfRange(f"k={k} outside [0, {n})")
     if n == 1:
         if info is not None:
-            info.update(branch="trivial", sample_size=0, candidate_size=0, filtered_size=1)
+            info.update(branch="trivial", candidate_size=0, filtered_size=1)
         return int(pool[0])
     size = n // max(k, 1)
     if k <= n**epsilon and size > k:
@@ -120,15 +120,10 @@ def select_kth(
         with ledger.in_phase(PHASE_FILTER):
             filtered = _filter_at_most(ledger, pool, z).tolist()
         if info is not None:
-            info.update(
-                branch="sampled",
-                sample_size=size,
-                candidate_size=len(cand),
-                filtered_size=len(filtered),
-            )
+            info.update(branch="sampled", candidate_size=len(cand), filtered_size=len(filtered))
         with ledger.in_phase(PHASE_BACKEND):
             return backend(ledger, filtered, k)
     if info is not None:
-        info.update(branch="direct", sample_size=0, candidate_size=0, filtered_size=n)
+        info.update(branch="direct", candidate_size=0, filtered_size=n)
     with ledger.in_phase(PHASE_BACKEND):
         return backend(ledger, pool.tolist(), k)

@@ -110,16 +110,16 @@ def test_criterion_03_offset_search_amortized_budget():
     ranks = rng.integers(0, n + 1, size=m)
     ledger, ids = new_session([2 * i for i in range(n)] + [2 * int(r) - 1 for r in ranks])
     view = make_view(ids[:n])
-    s = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     audited = [int(p) for p in rng.choice(n, size=16, replace=False)]
     audit_violations = 0
     for q in ids[n:]:
-        phi_before = {p: potential_audit(s, p) for p in audited}
+        phi_before = {p: potential_audit(offsets, p) for p in audited}
         counts_before = {p: int(ledger.counts[p]) for p in audited}
-        rank = offset_search(ledger, s, q)
+        rank = offset_search(ledger, view, offsets, q, [])
         for p in audited:
             actual = int(ledger.counts[p]) - counts_before[p]
-            dphi = float(potential_audit(s, p) - phi_before[p])
+            dphi = potential_audit(offsets, p) - phi_before[p]
             if actual + dphi > AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, p) + 1e-9:
                 audit_violations += 1
     elapsed = time.monotonic() - start

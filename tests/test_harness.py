@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility import cli, generators, harness
+from fragility import adaptive, cli, generators, harness, search
 from fragility.errors import ConfigError, CountMismatch, InfeasibleTarget
 from fragility.harness import (
     ALGORITHMS,
@@ -419,17 +419,17 @@ def test_a_raising_large_trial_leaves_no_thread(tmp_path, capsys, monkeypatch, s
     assert len(started_threads) == 2  # each run overlapped its oracle
 
 
-def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch):
+def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch, started_threads):
     def fail(arr):
         raise ZeroDivisionError("oracle")
 
     monkeypatch.setattr(harness, "_oracle", fail)
     monkeypatch.setattr(harness, "OVERLAP_MIN_N", 64)
-    threads = threading.active_count()
-    spec = ExperimentSpec(algorithm="tournament_min", n=64, trials=1)
+    spec = ExperimentSpec(algorithm="select_kth", n=64, trials=1)
     with pytest.raises(ZeroDivisionError, match="oracle"):
         run_experiment(spec)
-    assert threading.active_count() == threads
+    assert len(started_threads) == 1  # the oracle raised on its worker thread
+    assert not started_threads[0].is_alive()
 
 
 def _pinned_specs():
@@ -478,6 +478,51 @@ def test_median_by_runs_removal_round_digest_is_pinned():
             lines.append(hashlib.sha256(run_experiment(spec).to_json().encode()).hexdigest())
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == "43c726ba247d9559b11ad6dc4bb008f8974426b25a6086e445603ec2633f2a83"
+
+
+def test_per_element_counts_digest_is_pinned():
+    """sha256 over the answers, each ``ranks_used`` and ``ledger.counts`` of
+    direct calls of the three searchers, ``sort_by_inv`` and
+    ``median_by_runs``.  Report rows carry only frag_max, frag_mean and total,
+    so the digests above miss a comparison moved from one element to another;
+    this one sees it."""
+    digest = hashlib.sha256()
+
+    def add(ledger, answers):
+        digest.update(json.dumps(answers).encode())
+        digest.update(ledger.counts.tobytes())
+
+    n = 300
+    for seed, generator in ((1, "uniform_ranks"), (2, "skewed_ranks")):
+        spec = ExperimentSpec(algorithm="exp_search", generator=generator, n=n, searches=400)
+        ranks = harness.RANK_GENERATORS[generator](spec, np.random.default_rng(seed)).tolist()
+        # distinct array payloads with odd queries; then payload triples, tied with half the queries
+        for array, queries in (([2 * i for i in range(n)], [2 * r - 1 for r in ranks]),
+                               ([2 * (i // 3) for i in range(n)], [r - 1 for r in ranks])):
+            ledger, ids = new_session(array + queries)
+            add(ledger, [search.exp_search(ledger, ids[:n], q) for q in ids[n:]])
+            ledger, ids = new_session(array + queries)
+            view = search.make_view(ids[:n])
+            offsets = search.build_offset_structure(view)
+            answers = []
+            for q in ids[n:]:
+                used = []
+                answers.append([search.offset_search(ledger, view, offsets, q, used), used])
+            add(ledger, answers)
+            ledger, ids = new_session(array + queries)
+            rng = np.random.default_rng(seed)
+            add(ledger, [search.randomized_search(ledger, ids[:n], q, rng) for q in ids[n:]])
+    for seed in (1, 2, 3):
+        for dup in (False, True):
+            rng = np.random.default_rng(seed)
+            for vals in (generators.gen_controlled_inv(2000, 50 * seed ** 3, rng),
+                         generators.gen_controlled_runs(4096, seed + 1, rng)):
+                vals = generators.with_duplicates(vals) if dup else vals
+                ledger, ids = new_session(vals)
+                add(ledger, adaptive.sort_by_inv(ledger, ids))
+                ledger, ids = new_session(vals)
+                add(ledger, adaptive.median_by_runs(ledger, ids))
+    assert digest.hexdigest() == "a09ee62d2d20c6b558c79ba90e3a42df7cde7c013ab54150367d69bb6dcc055c"
 
 
 def test_report_round_trip_and_csv():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragility import search
 from fragility.ledger import new_session
 from fragility.primitives import ceil_log2
 from fragility.search import (
@@ -48,6 +49,9 @@ def test_distance_to_trivials():
     assert distance_to(4, 3) == 1
     assert distance_to(4, 0) == 4
     assert distance_to(4, 9) == 6
+    # the same formula on arrays, as budget_per_element uses it
+    assert distance_to(np.array([[4], [0]]), np.arange(6)).tolist() == [
+        [4, 3, 2, 1, 1, 2], [1, 2, 3, 4, 5, 6]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,16 +79,19 @@ def test_exp_search_query_budget_sweep_small():
 def test_offset_search_matches_oracle(data):
     array, queries = data
     ledger, view, qids = _session(array, queries)
-    structure = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     for q in qids:
-        assert offset_search(ledger, structure, q) == predecessor_oracle(ledger, view, q)
+        assert offset_search(ledger, view, offsets, q, []) == predecessor_oracle(ledger, view, q)
 
 
 def test_offset_structure_position_and_slots():
     ledger, view, _ = _session(list(range(16)), [3])
-    s = build_offset_structure(view)
-    assert s.n_padded == 16 and s.max_rank == 4
-    assert sum(len(row) for row in s.offsets) == 16 + 8 + 4 + 2 + 1
+    offsets = build_offset_structure(view)
+    assert len(offsets[0]) == 16 and len(offsets) - 1 == 4
+    assert sum(len(row) for row in offsets) == 16 + 8 + 4 + 2 + 1
+    # n = 17 pads to 32: rank 5 gets one slot, each rank a partial last interval
+    assert [len(row) for row in build_offset_structure(tuple(range(17)))] == [17, 9, 5, 3, 2, 1]
+    assert build_offset_structure((7,)) == [[0]]
 
 
 def test_offsets_rotate_between_identical_searches():
@@ -93,11 +100,11 @@ def test_offsets_rotate_between_identical_searches():
     ledger, view, qids = _session(
         [2 * i for i in range(n)], [n] * 4  # same value, rank n/2 each time
     )
-    structure = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     probe_sets = []
     for q in qids:
         counts_before = ledger.counts[:n].copy()
-        offset_search(ledger, structure, q)
+        offset_search(ledger, view, offsets, q, [])
         probe_sets.append(tuple(np.flatnonzero(ledger.counts[:n] - counts_before).tolist()))
     assert len(set(probe_sets)) > 1
 
@@ -109,18 +116,20 @@ def test_offset_search_uses_each_rank_boundedly():
     ledger, view, qids = _session(
         [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
     )
-    structure = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     for q, k in zip(qids, ranks):
         ranks_used = []
-        assert offset_search(ledger, structure, q, ranks_used) == int(k)
+        assert offset_search(ledger, view, offsets, q, ranks_used) == int(k)
         assert max((ranks_used.count(r) for r in set(ranks_used)), default=0) <= 7
 
 
 def test_potential_audit_starts_at_full_debt():
     ledger, view, _ = _session(list(range(8)), [0])
-    s = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     # position 0 with all offsets 0: t = 0 at every rank
-    assert potential_audit(s, 0) == 3
+    assert potential_audit(offsets, 0) == 3
+    # position 5: t = 1 at rank 1 and rank 2, t = 5 at rank 3
+    assert potential_audit(offsets, 5) == 1 / 2 + 3 / 4 + 3 / 8
 
 
 def test_per_search_amortized_inequality_all_elements():
@@ -131,15 +140,15 @@ def test_per_search_amortized_inequality_all_elements():
     ledger, view, qids = _session(
         [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
     )
-    s = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     for q in qids:
-        phi_before = [potential_audit(s, pos) for pos in range(n)]
+        phi_before = [potential_audit(offsets, pos) for pos in range(n)]
         counts_before = ledger.counts[:n].copy()
-        rank = offset_search(ledger, s, q)
+        rank = offset_search(ledger, view, offsets, q, [])
         delta = ledger.counts[:n] - counts_before
         for pos in range(n):
             actual = int(delta[pos])
-            dphi = float(potential_audit(s, pos) - phi_before[pos])
+            dphi = potential_audit(offsets, pos) - phi_before[pos]
             budget = AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, pos)
             assert actual + dphi <= budget + 1e-9, (pos, actual, dphi, budget)
 
@@ -152,9 +161,9 @@ def test_amortized_check_agrees_with_trace_counts():
     ledger, view, qids = _session(
         [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
     )
-    s = build_offset_structure(view)
-    found = [offset_search(ledger, s, q) for q in qids]
-    slack = budget_per_element(s, found) - ledger.counts[:n]
+    offsets = build_offset_structure(view)
+    found = [offset_search(ledger, view, offsets, q, []) for q in qids]
+    slack = budget_per_element(offsets, found) - ledger.counts[:n]
     assert (slack >= 0).all(), slack.min()
 
 
@@ -167,14 +176,25 @@ def test_budget_per_element_equals_the_per_position_sum():
         ledger, view, qids = _session(
             [2 * i for i in range(n)], [2 * int(r) - 1 for r in ranks]
         )
-        s = build_offset_structure(view)
-        found = [offset_search(ledger, s, q) for q in qids]
-        budget = budget_per_element(s, found)
+        offsets = build_offset_structure(view)
+        found = [offset_search(ledger, view, offsets, q, []) for q in qids]
+        budget = budget_per_element(offsets, found)
         for pos in {0, n - 1, *rng.integers(0, n, size=8).tolist()}:
-            expected = float(ceil_log2(s.n_padded))
+            expected = float(ceil_log2(n))
             for rank in found:
                 expected += AMORTIZED_BUDGET_PER_DISTANCE / distance_to(rank, pos)
             assert budget[pos] == expected, (n, pos)
+
+
+def test_budget_per_element_does_not_depend_on_the_batching(monkeypatch):
+    """One search per numpy pass, or a few, gives the floats of one pass over all."""
+    n = 37
+    offsets = build_offset_structure(tuple(range(n)))
+    ranks = np.random.default_rng(6).integers(0, n + 1, size=500).tolist()
+    whole = budget_per_element(offsets, ranks)
+    for cells in (1, n, 5 * n + 3):
+        monkeypatch.setattr(search, "_BUDGET_CELLS", cells)
+        assert budget_per_element(offsets, ranks).tobytes() == whole.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,10 +211,10 @@ def test_searchers_agree_on_duplicate_array_values():
     array = [1, 1, 3, 3, 3, 7]
     queries = [0, 1, 2, 3, 4, 7, 8]
     ledger, view, qids = _session(array, queries)
-    s = build_offset_structure(view)
+    offsets = build_offset_structure(view)
     rng = np.random.default_rng(0)
     for q in qids:
         want = predecessor_oracle(ledger, view, q)
         assert exp_search(ledger, view, q) == want
-        assert offset_search(ledger, s, q) == want
+        assert offset_search(ledger, view, offsets, q, []) == want
         assert randomized_search(ledger, view, q, rng) == want

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time a select-large trial's per-array steps outside the algorithm, cold
-comparator networks, the inversion-table decoder and a long search sequence.
+"""Time a select-large trial's per-array steps outside the algorithm, cold and
+warm comparator networks, the inversion-table decoder and a long search
+sequence.
 
 ``oracle`` times ``_oracle_order(vals)`` followed by
 ``_measured_disorder(vals, order)`` at each size, on the int64 array that
@@ -16,8 +17,10 @@ the inline one.  At n = 2^17 it also times ``new_session`` on that array
 (``filter_at_most``), as ``select_kth``'s final filter runs it.  ``build_schedule`` times a cold ``build_schedule(m)`` and
 ``network_sort`` a cold ``network_sort`` of a random permutation, each with
 every cache in ``fragility.primitives`` cleared before each call, at
-``WIRES``.  ``gen_controlled_inv`` times one generated input of
-``INV_N`` elements per inversion count in ``INVS``, and ``offset_search`` one
+``WIRES``; ``network_sort_warm`` times ``network_sort`` of a random
+permutation on its cached schedule, inside a phase, at ``WARM_WIRES``.
+``gen_controlled_inv`` times one generated input of ``INV_N`` elements per
+inversion count in ``INVS``, and ``offset_search`` one
 trial of ``run_experiment`` on C3's offset_search spec (n = 1024, 10^4
 uniform-rank searches).  ``less`` times scalar ``ComparisonLedger.less``
 over the ``LESS_N - 1`` neighbour pairs of a list session of ``LESS_N``
@@ -47,6 +50,7 @@ import tracemalloc
 SIZES = (100, 1 << 12, 1 << 17)  # small-many, a mid size, select-large
 LARGE = 1 << 17  # select-large's n, for the session and filter steps
 WIRES = (100, 20000, 32768)  # a small-many size; C8's widest networks
+WARM_WIRES = (17, 32, 100, 1000)  # above the scalar networks; small-many's n; a mid size
 SAMPLES = 15  # timed samples per size
 INV_N = 1 << 15  # C8's largest controlled_inv inputs
 INVS = (16, 4096)
@@ -169,6 +173,16 @@ def main() -> int:
         out["build_schedule"][str(m)] = time_step(build, SLOW_SAMPLES)
         sort = cold(lambda: primitives.network_sort(ledger, ids))
         out["network_sort"][str(m)] = time_step(sort, SLOW_SAMPLES)
+
+    out["network_sort_warm"] = {}
+    for m in WARM_WIRES:
+        ledger, ids = new_session(generators.gen_random(m, np.random.default_rng(m)))
+
+        def warm():
+            with ledger.in_phase("bench"):
+                primitives.network_sort(ledger, ids)
+
+        out["network_sort_warm"][str(m)] = time_step(warm)
 
     out["gen_controlled_inv"] = {}
     for inv in INVS:

@@ -499,7 +499,7 @@ def _offset_search(ledger, view, queries, ranks, rng):
     for q in queries:
         used: list[int] = []
         found.append(offset_search(ledger, view, offsets, q, used))
-        rank_repeats = max(rank_repeats, max(Counter(used).values(), default=0))
+        rank_repeats = max(rank_repeats, max(map(used.count, used), default=0))
     slack = budget_per_element(offsets, found) - ledger.counts[: len(view)]
     return found, {
         "min_slack": float(slack.min()),

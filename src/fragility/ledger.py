@@ -8,12 +8,18 @@ that array, and scalar comparisons read Python scalars from it through a
 in this package performs ordering queries exclusively through a
 :class:`ComparisonLedger`, which records how many comparisons each element
 participates in.  A comparison answers with an ``int`` sign, -1, 0 or +1, on
-the scalar and the batch paths alike.  Tests check results in the uncounted
-audit mode, so that those checks never distort the measured comparison counts.
+the scalar and the batch paths alike; ``less``, ``less_batch`` and
+``sort_network`` answer in one strict order, payload first, then index.
+``sort_network`` runs a whole comparator network in one call: it ranks the
+elements in that order once and moves ranks layer by layer, so each
+comparator counts one comparison of the same two elements as ``less`` would.
+Tests check results in the uncounted audit mode, so that those checks never
+distort the measured comparison counts.
 
 The int64 counters, ``counts`` and one per phase, are bumped by the scalar
 path through a ``memoryview`` of their memory (half a numpy item increment's
-cost) and by the batch paths with ``np.add.at``: one set of numbers.
+cost), by the pair batches with ``np.add.at`` and by ``sort_network`` once
+per network: one set of numbers.
 """
 
 from __future__ import annotations
@@ -159,6 +165,51 @@ class ComparisonLedger:
         if self._phase is not None:
             _tally(self._phase[0], a_indices, b_indices)
         return a_indices, b_indices, vnum[a_indices], vnum[b_indices]
+
+    def sort_network(self, ids: Sequence[int], lo: np.ndarray, hi: np.ndarray,
+                     ends: np.ndarray) -> Optional[list]:
+        """``ids`` on the comparator network ``(lo, hi, ends)`` (see
+        :func:`fragility.primitives.build_schedule`), counted as a loop of
+        :meth:`less` over its comparators; None, with nothing counted, where the
+        payloads are not a NaN-free bool, int, uint, float, str or bytes array.
+
+        The m elements are ranked once in :meth:`less`'s strict order
+        (payload, then index); each layer is one ``np.minimum`` and one
+        ``np.maximum`` on ranks, so every comparator still meets the same two
+        elements.  Ids are checked before any count: a repeated id raises
+        :class:`SelfComparison`, as its two copies would on meeting.
+        """
+        vnum = self._vnum
+        if vnum is None or vnum.dtype.kind not in "biufUS":
+            return None
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and ids.view(np.uintp).max() >= self._n:
+            raise UnknownElement("network id outside session")
+        payloads = vnum[ids]
+        # NaN is unordered: less breaks it by index against everything
+        if payloads.dtype.kind == "f" and np.isnan(payloads).any():
+            return None
+        order = np.lexsort((ids, payloads))
+        elems = ids[order]  # rank -> id
+        if (elems[1:] == elems[:-1]).any():
+            raise SelfComparison("network holds an id twice")
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(ids.size)  # wire -> rank
+        met = []
+        start = 0
+        for end in ends.tolist():
+            wa, wb = lo[start:end], hi[start:end]
+            start = end
+            a, b = ranks[wa], ranks[wb]
+            met += (a, b)
+            ranks[wa] = np.minimum(a, b)
+            ranks[wb] = np.maximum(a, b)
+        tally = np.bincount(np.concatenate(met), minlength=ids.size) if met else 0
+        self.counts[elems] += tally
+        self.total += lo.size
+        if self._phase is not None:
+            self._phase[0][elems] += tally
+        return elems[ranks].tolist()
 
     # -- audit mode -----------------------------------------------------
 

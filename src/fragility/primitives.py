@@ -4,9 +4,11 @@ Sorting uses Batcher's odd-even mergesort network, whose depth bounds the
 number of comparisons any single element participates in.  The network on m
 wires has one representation, ``build_schedule(m)``: cached read-only index
 arrays of its comparators in layer order, which both paths of
-``network_sort`` read.  The remaining primitives (tournament minimum,
-galloping merge, deterministic selection) are shared by the search,
-selection and adaptive modules.
+``network_sort`` read: a loop of counted ``less`` calls, and one
+``ComparisonLedger.sort_network`` call that runs every layer on the elements'
+ranks.  The remaining primitives (tournament minimum, galloping merge,
+deterministic selection) are shared by the search, selection and adaptive
+modules.
 """
 
 from __future__ import annotations
@@ -81,47 +83,37 @@ def build_schedule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(lo[keep], hi[keep], ends)
 
 
-# Small networks are faster one comparator at a time than one numpy batch per
-# layer: on a warm schedule (CPython 3.11.7, 2 vCPU), ~30-65 against ~190-310 us
-# at 16 wires, ~250 against ~380 us at 64, ~530 against ~480 us at 100.  Every
-# mom_select group and base case has at most 10 wires, and an n = 100 run of
-# every algorithm sorts 10 networks of 17-64 wires in 2632: too few to gain.
-SCALAR_NETWORK_WIRES = 16
+# Small networks are faster one comparator at a time through ``less`` than in
+# one ``sort_network`` call, whose ranking and tally cost ~12 us in all.  Warm
+# schedule, in a phase (CPython 3.11.7, numpy 2.4.6, 2 vCPU), scalar against
+# sort_network: 23-26 against 31-32 us at 12 wires, 29-31 against 31-33 at 14,
+# 32-36 against 31-32 at 15, 35-37 against 31-33 at 16, 100-106 against 44 at 32.
+SCALAR_NETWORK_WIRES = 14
 
 
 def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
     """Sort via the Batcher network; per-element comparisons <= network depth.
 
-    Small networks run their comparators one at a time through
-    :meth:`ComparisonLedger.less`, larger ones a layer at a time through
-    :meth:`ComparisonLedger.less_batch`.  Both apply the same comparators
-    in the same layer order, so the result and every count are identical.
+    Small networks, and payloads that :meth:`ComparisonLedger.sort_network`
+    cannot rank (NaN, tuples, objects), run their comparators one at a time
+    through :meth:`ComparisonLedger.less`; larger ones run in one
+    ``sort_network`` call.  Both apply the same comparators to the same
+    elements, so the result and every count are identical.
     """
     m = len(ids)
     if m < 2:
         return list(ids)
     lo, hi, ends = build_schedule(m)
-    if m <= SCALAR_NETWORK_WIRES:
-        out = list(ids)
-        less = ledger.less
-        for i, j in zip(lo.tolist(), hi.tolist()):
-            if not less(out[i], out[j]):
-                out[i], out[j] = out[j], out[i]
-        return out
-    arr = np.array(ids, dtype=np.intp)
-    start = 0
-    for end in ends.tolist():
-        pos_a = lo[start:end]
-        pos_b = hi[start:end]
-        start = end
-        ia = arr[pos_a]
-        ib = arr[pos_b]
-        swap = ~ledger.less_batch(ia, ib)
-        if swap.any():
-            sa = pos_a[swap]
-            sb = pos_b[swap]
-            arr[sa], arr[sb] = ib[swap], ia[swap]
-    return arr.tolist()
+    if m > SCALAR_NETWORK_WIRES:
+        out = ledger.sort_network(ids, lo, hi, ends)
+        if out is not None:
+            return out
+    out = list(ids)
+    less = ledger.less
+    for i, j in zip(lo.tolist(), hi.tolist()):
+        if not less(out[i], out[j]):
+            out[i], out[j] = out[j], out[i]
+    return out
 
 
 def tournament_min(ledger: ComparisonLedger, ids: Sequence[int]) -> int:

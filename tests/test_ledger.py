@@ -17,7 +17,7 @@ from fragility.ledger import (
     audit_sorted,
     new_session,
 )
-from fragility.primitives import network_sort
+from fragility.primitives import build_schedule, network_sort
 
 
 def test_new_session_trivials():
@@ -488,3 +488,20 @@ def test_trailing_nuls_compare_per_pair(values):
     assert ledger.less_batch(np.array([1, 2]), 0).tolist() == [
         ledger.less(1, 0), ledger.less(2, 0)] == [True, False]
     assert ledger.counts.tolist() == [6, 6, 4] and ledger.total == 8
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+def test_sort_network_checks_ids_before_any_count(make):
+    """An unknown id, or one id on two wires, raises before any comparator
+    counts; the scalar network would count until the two copies met."""
+    ledger, _ = new_session(make(list(range(20, 0, -1))))
+    for ids, error in (([0, 1, 20], UnknownElement), ([0, -1, 2], UnknownElement),
+                       ([3, 1, 3], SelfComparison), (list(range(19)) + [0], SelfComparison)):
+        for phase in (False, True):
+            with ledger.in_phase("p") if phase else contextlib.nullcontext():
+                with pytest.raises(error):
+                    ledger.sort_network(ids, *build_schedule(len(ids)))
+    with pytest.raises(SelfComparison):  # 20 wires: network_sort's sort_network path
+        network_sort(ledger, list(range(19)) + [0])
+    assert not ledger.counts.any() and not ledger.phase_counts("p").any()
+    assert ledger.total == 0

@@ -1,5 +1,6 @@
 """Sorting network, tournament, galloping merge, deterministic selection."""
 
+import contextlib
 import hashlib
 import json
 from fractions import Fraction
@@ -13,7 +14,6 @@ from fragility import generators, primitives
 from fragility.errors import EmptyInput, RankOutOfRange
 from fragility.ledger import audit_sorted, new_session
 from fragility.primitives import (
-    SCALAR_NETWORK_WIRES,
     build_schedule,
     ceil_log2,
     exponential_merge,
@@ -109,9 +109,11 @@ def test_network_sort_fragility_at_most_depth(m):
     assert int(ledger.counts.max()) <= network_depth_bound(m)
 
 
-@pytest.mark.parametrize("m", range(1, SCALAR_NETWORK_WIRES + 1))
+@pytest.mark.parametrize("m", range(1, 33))
 def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
-    """Small networks compare one pair at a time; nothing observable differs."""
+    """Small networks compare one pair at a time, larger ones run in one
+    ``sort_network`` call; nothing observable differs on either side of
+    ``SCALAR_NETWORK_WIRES``."""
     rng = np.random.default_rng(m)
     for trial in range(20):
         values = [int(v) for v in rng.integers(0, max(1, m // 2), size=m)]
@@ -120,7 +122,7 @@ def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
         # shuffled ids, so ties meet in both index orders
         order = [int(i) for i in rng.permutation(m)]
         runs = []
-        for wires in (SCALAR_NETWORK_WIRES, 0):
+        for wires in (m, 0):
             monkeypatch.setattr(primitives, "SCALAR_NETWORK_WIRES", wires)
             ledger, ids = new_session(values)
             with ledger.in_phase("sort"):
@@ -129,6 +131,88 @@ def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
                          list(ledger.phase_counts("sort"))))
         assert runs[0] == runs[1], (m, trial)
         assert runs[0][0] == audit_sorted(ledger, ids)
+
+
+def _scalar_network(ledger, ids):
+    """The network on ``len(ids)`` wires as a loop of counted ``less``."""
+    lo, hi, _ = build_schedule(len(ids))
+    out = list(ids)
+    for i, j in zip(lo.tolist(), hi.tolist()):
+        if not ledger.less(out[i], out[j]):
+            out[i], out[j] = out[j], out[i]
+    return out
+
+
+# payloads -3..3 per session kind; tuples (a 2-D array) and NaN cannot be ranked
+_ZEROS = (-0.0, 0.0, -2.5, 0.0, 1.5, -0.0, 3.0)
+_NANS = (np.nan, -0.0, 0.0, -2.5, 0.0, np.nan, -0.0)
+_NETWORK_SESSIONS = {
+    "list": lambda values: values,
+    "array": np.array,
+    "uint8": lambda values: np.array([v + 3 for v in values], dtype=np.uint8),
+    "bool": lambda values: np.array(values) > 0,
+    "zeros-list": lambda values: [_ZEROS[v + 3] for v in values],
+    "zeros-array": lambda values: np.array([_ZEROS[v + 3] for v in values]),
+    "nan": lambda values: np.array([_NANS[v + 3] for v in values]),
+    "str": lambda values: [str(v) for v in values],
+    "bytes": lambda values: [str(v).encode() for v in values],
+    "tuple": lambda values: [(v % 2, v) for v in values],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_NETWORK_SESSIONS)),
+    values=st.lists(st.integers(-3, 3), min_size=1, max_size=80),
+    data=st.data(),
+    phase=st.booleans(),
+)
+def test_sort_network_replays_the_scalar_network(kind, values, data, phase):
+    """``ComparisonLedger.sort_network`` on any subset of a session's ids
+    answers and counts as the network's comparators run through ``less``; on
+    payloads it cannot rank it returns None, counts nothing, and
+    ``network_sort`` runs that scalar loop."""
+    ids = data.draw(st.permutations(range(len(values))))
+    ids = ids[: data.draw(st.integers(0, len(ids)))]
+    unranked = kind == "tuple" or (kind == "nan" and any(values[i] in (-3, 2) for i in ids))
+    runs = []
+    for ranked in (True, False):
+        ledger, _ = new_session(_NETWORK_SESSIONS[kind](values))
+        with ledger.in_phase("sort") if phase else contextlib.nullcontext():
+            if ranked:
+                out = ledger.sort_network(ids, *build_schedule(len(ids)))
+                assert (out is None) == unranked
+                if out is None:
+                    assert ledger.total == 0 and not ledger.counts.any()
+                    out = network_sort(ledger, ids)
+            else:
+                out = _scalar_network(ledger, ids)
+        runs.append((out, ledger.counts.tolist(), ledger.total,
+                     ledger.phase_counts("sort").tolist()))
+    assert runs[0] == runs[1]
+    if kind != "nan":
+        assert runs[0][0] == audit_sorted(ledger, ids)
+
+
+def test_network_sort_counts_digest_is_pinned():
+    """sha256 over the output, total, ``counts`` and phase counts of one
+    ``network_sort`` per size, with and without tied payloads, on list and
+    array sessions, over shuffled ids: a comparison moved from one element to
+    another changes it.  Pinned on the one-``less_batch``-per-layer network."""
+    digest = hashlib.sha256()
+    for m in (17, 100, 1000, 4097):
+        for dup in (False, True):
+            values = generators.gen_random(m, np.random.default_rng(m))
+            values = generators.with_duplicates(values) if dup else values.tolist()
+            order = np.random.default_rng(m + 1).permutation(m).tolist()
+            for make in (list, np.array):
+                ledger, ids = new_session(make(values))
+                with ledger.in_phase("sort"):
+                    out = network_sort(ledger, [ids[i] for i in order])
+                digest.update(json.dumps([out, ledger.total]).encode())
+                digest.update(ledger.counts.tobytes())
+                digest.update(ledger.phase_counts("sort").tobytes())
+    assert digest.hexdigest() == "69b6c7f7ac99c3e8f62ad6457d0a2cc41b8251021b0873d244c72545e185a524"
 
 
 def test_network_sort_is_stable_on_duplicates():

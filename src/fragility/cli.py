@@ -91,7 +91,7 @@ def _verdicts(report: Report, names, path: str) -> list[tuple[str, list[dict]]]:
         return [(name, verify(report, name)[1]) for name in names]
     except KeyError as exc:
         raise ConfigError(f"malformed report {path}: a row lacks {exc}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:  # AttributeError: a float n in ceil_log2
         raise ConfigError(f"malformed report {path}: a row value has the wrong type: {exc}") from None
 
 

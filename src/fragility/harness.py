@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
@@ -278,28 +277,6 @@ def _oracle(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
     return (order, *_measured_disorder(arr, order))
 
 
-class _OracleThread(threading.Thread):
-    """:func:`_oracle` on a worker thread; once joined, :meth:`result`
-    returns its value or raises its exception on the calling thread."""
-
-    def __init__(self, arr: np.ndarray) -> None:
-        super().__init__(name="fragility-oracle", daemon=True)
-        self._arr = arr
-        self._out: Optional[tuple] = None
-        self._exc: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            self._out = _oracle(self._arr)
-        except BaseException as exc:  # handed to the caller by result()
-            self._exc = exc
-
-    def result(self) -> tuple[np.ndarray, int, int]:
-        if self._exc is not None:
-            raise self._exc
-        return self._out
-
-
 # Trials of at least this many elements run the oracle on a worker thread
 # while the algorithm runs.  The oracle takes 0.03 ms at n = 100, 0.26 ms at
 # 4096 and 10 ms at 2^17, a thread's start and join about 0.12 ms.  Below
@@ -339,10 +316,11 @@ def _ordering_runner(call, answer, overlap):
 
     The oracle reads only the payload array, never the ledger or the rng, so
     where ``overlap`` is set, from :data:`OVERLAP_MIN_N` elements on, it runs
-    on an :class:`_OracleThread` while ``call`` runs here.  It spends most of
-    its time in numpy calls that release the GIL, as ``select_kth`` does.  The
-    thread is joined before the runner returns or raises, and the row is the
-    same either way.
+    on a one-worker ``ThreadPoolExecutor`` while ``call`` runs here.  It
+    spends most of its time in numpy calls that release the GIL, as
+    ``select_kth`` does.  Leaving the executor joins its worker, also when
+    ``call`` raises; ``result()`` raises the oracle's own exception here, and
+    the row is the same either way.
     """
 
     def run(spec, rng):
@@ -354,13 +332,14 @@ def _ordering_runner(call, answer, overlap):
             res = call(ledger, ids, arr, extra, spec, rng)
             order, runs, inv = _oracle(arr)
         else:
-            worker = _OracleThread(arr)
-            worker.start()
-            try:
+            # imported here: concurrent.futures.thread imports logging, ~9 ms
+            # that every start-up would pay for trials that few runs take
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1, thread_name_prefix="fragility-oracle") as pool:
+                oracle = pool.submit(_oracle, arr)
                 res = call(ledger, ids, arr, extra, spec, rng)
-            finally:
-                worker.join()
-            order, runs, inv = worker.result()
+            order, runs, inv = oracle.result()
         row = {"n": int(arr.size), "runs": runs, "inv": inv, **_load(ledger, ledger.counts)}
         row.update(extra)
         if answer is not None:
@@ -642,7 +621,8 @@ BOUND_SETS: dict[str, tuple[tuple[str, ...], Callable]] = {
         ("rank-recursions-at-most-7", itemgetter("max_rank_repeat"), lambda r: 7),
     )),
     "randomized-mean": (("randomized_search",), _row_bounds(
-        ("mean-fragility-budget", itemgetter("frag_mean"), itemgetter("mean_budget")),
+        ("mean-fragility-budget", itemgetter("frag_mean"),
+         lambda r: calibration.randomized_mean_budget(r["n"], r["searches"])),
     )),
     "min-runs": (("min_by_runs",), _row_bounds(
         ("min-runs-fragility", _frag_max, lambda r: 2 + ceil_log2(max(1, r["runs"]))),
@@ -665,7 +645,7 @@ BOUND_SETS: dict[str, tuple[tuple[str, ...], Callable]] = {
         ("sort-inv-envelope", _frag_max, lambda r: calibration.sort_inv_envelope(r["inv"])),
     )),
     "network-depth": (("network_sort", "small_median"), _row_bounds(
-        ("network-depth", _frag_max, itemgetter("depth_bound")),
+        ("network-depth", _frag_max, lambda r: network_depth_bound(r["n"])),
     )),
     "tournament": (("tournament_min",), _row_bounds(
         ("tournament-rounds", _frag_max, lambda r: ceil_log2(r["n"])),

@@ -39,8 +39,8 @@ class ComparisonLedger:
     independent sessions for parallel trials.
     """
 
-    __slots__ = ("_values", "_vnum", "_n", "counts", "_tallies", "total", "audit_total",
-                 "_phase", "_phase_counts")
+    __slots__ = ("_values", "_vnum", "_n", "counts", "_tallies", "total", "_phase",
+                 "_phase_counts")
 
     def __init__(self, values: Sequence) -> None:
         if len(values) == 0:
@@ -70,7 +70,6 @@ class ComparisonLedger:
         self.counts = np.zeros(self._n, dtype=np.int64)
         self._tallies = memoryview(self.counts)
         self.total = 0
-        self.audit_total = 0
         # the open phase's (counts, memoryview), as (counts, _tallies) are
         self._phase: Optional[tuple[np.ndarray, memoryview]] = None
         self._phase_counts: dict[str, tuple[np.ndarray, memoryview]] = {}
@@ -214,9 +213,8 @@ class ComparisonLedger:
     # -- audit mode -----------------------------------------------------
 
     def audit_compare(self, a: int, b: int) -> int:
-        """Uncounted :meth:`compare`; only ``audit_total`` rises."""
+        """Uncounted :meth:`compare`: no count or total rises."""
         self._check(a, b)
-        self.audit_total += 1
         va, vb = self._values[a], self._values[b]
         return -1 if va < vb else 1 if vb < va else 0
 

@@ -1,10 +1,14 @@
 """Generators, experiment runner determinism, bound verification, CLI."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -366,16 +370,29 @@ def test_runner_raises_when_the_counts_miss_a_comparison(spec, monkeypatch):
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """The oracle threads that the test's runs start."""
+    """The worker thread of each oracle executor that the test's runs start;
+    the runner imports the executor at call time, so the patch reaches it."""
     started = []
 
-    class Recording(harness._OracleThread):
-        def start(self):
-            started.append(self)
-            super().start()
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def recorded(*args):
+                started.append(threading.current_thread())
+                return fn(*args)
 
-    monkeypatch.setattr(harness, "_OracleThread", Recording)
+            return super().submit(recorded, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return started
+
+
+def test_importing_the_cli_leaves_out_the_executor():
+    """Only an overlapped trial imports concurrent.futures (and its logging)."""
+    code = "import sys, fragility.cli; print('concurrent.futures' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_overlapped_oracle_rows_equal_inline_rows(started_threads, monkeypatch):
@@ -429,6 +446,7 @@ def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch, started_th
     with pytest.raises(ZeroDivisionError, match="oracle"):
         run_experiment(spec)
     assert len(started_threads) == 1  # the oracle raised on its worker thread
+    assert started_threads[0] is not threading.current_thread()
     assert not started_threads[0].is_alive()
 
 
@@ -780,6 +798,36 @@ def test_cli_verify_rejects_a_row_with_a_bad_bound_key(value, message, tmp_path,
     path.write_text(json.dumps(payload))
     assert cli.main(["verify", "--report", str(path)]) == 2
     assert f"malformed report {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["tournament_min", "network_sort"])
+def test_cli_verify_rejects_a_float_size(algorithm, tmp_path, capsys):
+    """A bound that takes ceil_log2 of the row's n reads a float n as malformed."""
+    path = tmp_path / "report.json"
+    assert cli.main(["run", "--algo", algorithm, "--n", "100", "--trials", "1",
+                     "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["rows"][0]["n"] = 100.0
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--report", str(path)]) == 2
+    assert f"malformed report {path}: a row value has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,edits", [
+    ("network_sort", {"frag_max": 50, "depth_bound": 60}),  # the true depth bound is 28
+    ("randomized_search", {"frag_mean": 100, "mean_budget": 200}),
+], ids=["network-depth", "randomized-mean"])
+def test_cli_verify_computes_each_limit_itself(algorithm, edits, tmp_path):
+    """A limit stamped into the row is not read back: raising it with the
+    value it limits cannot make a tampered report pass."""
+    path = tmp_path / "report.json"
+    assert cli.main(["run", "--algo", algorithm, "--n", "100", "--trials", "1",
+                     "--searches", "100", "--out", str(path)]) == 0
+    assert cli.main(["verify", "--report", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["rows"][0].update(edits)
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--report", str(path)]) == 1
 
 
 @pytest.mark.parametrize("algorithm", ["exp_search", "offset_search", "randomized_search"])

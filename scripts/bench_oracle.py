@@ -7,14 +7,11 @@ sequence.
 ``_measured_disorder(vals, order)`` at each size, on the int64 array that
 ``gen_random`` returns, as a trial's oracle receives it; a checkout whose
 generator returns a Python list is timed on that list.  At n = 2^17,
-``oracle_peak_mb`` is the oracle's tracemalloc peak, and ``select_trial``
-times one select-large trial (``run_experiment`` on select_kth with k = 4
-and epsilon = 0.25) with the oracle ``inline`` and ``overlapped`` on its
-worker thread, alternately; a checkout without ``OVERLAP_MIN_N`` has only
-the inline one.  At n = 2^17 it also times ``new_session`` on that array
-(``new_session``, the ledger's set-up and its release), and one counted
-``_filter_at_most`` of the whole id pool against the rank-8 element
-(``filter_at_most``), as ``select_kth``'s final filter runs it.  ``build_schedule`` times a cold ``build_schedule(m)`` and
+``oracle_peak_mb`` is the oracle's tracemalloc peak, and the script also
+times ``new_session`` on that array (``new_session``, the ledger's set-up
+and its release), and one counted ``_filter_at_most`` of the whole id pool
+against the rank-8 element (``filter_at_most``), as ``select_kth``'s final
+filter runs it.  ``build_schedule`` times a cold ``build_schedule(m)`` and
 ``network_sort`` a cold ``network_sort`` of a random permutation, each with
 every cache in ``fragility.primitives`` cleared before each call, at
 ``WIRES``; ``network_sort_warm`` times ``network_sort`` of a random
@@ -76,28 +73,6 @@ def time_step(step, count: int = SAMPLES) -> dict:
     return {"median_us": statistics.median(samples), "best_us": min(samples), "reps": reps}
 
 
-def time_select_trial(harness) -> dict:
-    """Median and best microseconds of one select-large trial per oracle mode."""
-    spec = harness.ExperimentSpec(algorithm="select_kth", n=LARGE, k=4, epsilon=0.25, trials=1, seed=1)
-    default = getattr(harness, "OVERLAP_MIN_N", None)
-    modes = {"inline": None} if default is None else {"inline": LARGE + 1, "overlapped": LARGE}
-    samples: dict = {mode: [] for mode in modes}
-    harness.run_experiment(spec)  # warm caches and lazy imports
-    for _ in range(SAMPLES):
-        for mode, threshold in modes.items():
-            if threshold is not None:
-                harness.OVERLAP_MIN_N = threshold
-            t0 = time.perf_counter()
-            harness.run_experiment(spec)
-            samples[mode].append((time.perf_counter() - t0) * 1e6)
-    if default is not None:
-        harness.OVERLAP_MIN_N = default
-    return {
-        mode: {"median_us": statistics.median(v), "best_us": min(v), "reps": 1}
-        for mode, v in samples.items()
-    }
-
-
 def time_in_and_out_of_phase(ledger, step, calls: int) -> dict:
     """Median and best nanoseconds per call of ``step``, which makes
     ``calls`` calls, outside a phase and inside one."""
@@ -133,7 +108,7 @@ def main() -> int:
     sys.path.insert(0, args.src)
     import numpy as np
 
-    from fragility import generators, harness, primitives
+    from fragility import generators, primitives
     from fragility.harness import ExperimentSpec, _measured_disorder, _oracle_order, run_experiment
     from fragility.ledger import new_session
     from fragility.selection import _filter_at_most
@@ -148,7 +123,6 @@ def main() -> int:
     _measured_disorder(vals, _oracle_order(vals))
     out["oracle_peak_mb"] = {str(LARGE): tracemalloc.get_traced_memory()[1] / 2**20}
     tracemalloc.stop()
-    out["select_trial"] = time_select_trial(harness)
     out["new_session"] = {str(LARGE): time_step(lambda: new_session(vals))}
     ledger, _ = new_session(vals)
     pool = np.arange(LARGE, dtype=np.intp)

@@ -54,7 +54,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    mapping = read_spec_file(args.spec) if args.spec else _spec_flags(args)
+    flags = _spec_flags(args)
+    if args.spec and flags:
+        named = ", ".join("--algo" if key == "algorithm" else f"--{key}" for key in flags)
+        raise ConfigError(f"--spec takes no spec flags, but got {named}")
+    mapping = read_spec_file(args.spec) if args.spec else flags
     if "algorithm" not in mapping and not args.spec:
         raise FragilityError("either --spec or --algo is required")
     report = run_experiment(ExperimentSpec.from_mapping(mapping))

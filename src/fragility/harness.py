@@ -278,13 +278,12 @@ def _oracle(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 # Trials of at least this many elements run the oracle on a worker thread
-# while the algorithm runs.  The oracle takes 0.03 ms at n = 100, 0.26 ms at
-# 4096 and 10 ms at 2^17, a thread's start and join about 0.12 ms.  Below
-# 2^16 the two threads' contention for the GIL costs more than the overlap
-# saves: a select_kth trial took 70% longer at 8192 and 12% longer at 2^15.
-# At 2^16 it took 14% less, and algorithms that compare one pair at a time
-# took between 2% less and 7% more (medians of alternating in-process runs),
-# so only the array-native algorithms in OVERLAPPED run beside the thread.
+# while the algorithm runs.  Timed one process per mode (2 vCPU), a select_kth
+# trial took 1.3-1.4 ms inline and 1.7-2.5 overlapped at 8192, 4.8-5.7 and
+# 4.3-4.5 at 2^15, 7.9-8.2 and 7.1-7.8 at 2^16; perfbench select-large (2^17)
+# read 50-58 and 54-71 trials/s, for 4 MB more peak RSS.  One process timing
+# both modes reads the overlap slower.  Only OVERLAPPED's array-native
+# algorithms, whose numpy calls release the GIL, run beside the thread.
 OVERLAP_MIN_N = 1 << 16
 OVERLAPPED = ("select_kth",)
 
@@ -576,11 +575,6 @@ def _verdict(bound: str, trial, value, limit) -> dict:
             "passed": bool(value <= limit), "slack": float(limit - value)}
 
 
-def _check_correct(report):
-    return [_verdict("matches-oracle", row["trial"], 0 if row["correct"] else 1, 0)
-            for row in report.rows]
-
-
 def _check_select(report):
     out = []
     sampled = [row for row in report.rows if row.get("branch") == "sampled"]
@@ -654,7 +648,9 @@ BOUND_SETS: dict[str, tuple[tuple[str, ...], Callable]] = {
         ("two-run-median-constant", _frag_max, lambda r: calibration.MEDIAN_TWO_RUNS_MAX),
     )),
     "select-expectations": (("select_kth",), _check_select),
-    "oracle-agreement": (tuple(ALGORITHMS), _check_correct),
+    "oracle-agreement": (tuple(ALGORITHMS), _row_bounds(
+        ("matches-oracle", lambda r: 0 if r["correct"] else 1, lambda r: 0),
+    )),
 }
 
 

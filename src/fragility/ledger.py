@@ -10,15 +10,16 @@ in this package performs ordering queries exclusively through a
 participates in.  A comparison answers with an ``int`` sign, -1, 0 or +1, on
 the scalar and the batch paths alike; ``less``, ``less_batch`` and
 ``sort_network`` answer in one strict order, payload first, then index.
-``sort_network`` runs a whole comparator network in one call: it ranks the
-elements in that order once and moves ranks layer by layer, so each
+``sort_network`` runs every comparator network: a small one, or one on
+payloads it cannot rank, as a loop of ``less``; any other in one pass that
+ranks the elements in that order once and moves ranks layer by layer, so each
 comparator counts one comparison of the same two elements as ``less`` would.
 Tests check results in the uncounted audit mode, so that those checks never
 distort the measured comparison counts.
 
 The int64 counters, ``counts`` and one per phase, are bumped by the scalar
 path through a ``memoryview`` of their memory (half a numpy item increment's
-cost), by the pair batches with ``np.add.at`` and by ``sort_network`` once
+cost), by the pair batches with ``np.add.at`` and by a ranked network once
 per network: one set of numbers.
 """
 
@@ -30,6 +31,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyInput, SelfComparison, UnknownElement
+
+# Small networks are faster one comparator at a time through ``less`` than
+# ranked, whose ranking and tally cost ~12 us in all.  Warm schedule, in a
+# phase (CPython 3.11.7, numpy 2.4.6, 2 vCPU), scalar against ranked: 23-26
+# against 31-32 us at 12 wires, 29-31 against 31-33 at 14, 32-36 against
+# 31-32 at 15, 35-37 against 31-33 at 16, 100-106 against 44 at 32.
+SCALAR_NETWORK_WIRES = 14
 
 
 class ComparisonLedger:
@@ -63,9 +71,10 @@ class ComparisonLedger:
             # NaN also fails this check, and per-pair compares agree on it
             if vnum is not None and vnum.dtype.kind in "fUS" and vnum.tolist() != self._values:
                 vnum = None
-        # tuple payloads or a 2-D array would compare element-wise in numpy, so
-        # only a 1-D array serves the batch path; the rest compare per pair
-        self._vnum = None if vnum is None or vnum.dtype == object or vnum.ndim != 1 else vnum
+        # tuple payloads or a 2-D array would compare element-wise in numpy, and
+        # complex ones lexicographically where compare raises, so only a 1-D
+        # array of another kind serves the batch path; the rest compare per pair
+        self._vnum = None if vnum is None or vnum.dtype.kind in "Oc" or vnum.ndim != 1 else vnum
         self._n = len(self._values)
         self.counts = np.zeros(self._n, dtype=np.int64)
         self._tallies = memoryview(self.counts)
@@ -166,34 +175,43 @@ class ComparisonLedger:
         return a_indices, b_indices, vnum[a_indices], vnum[b_indices]
 
     def sort_network(self, ids: Sequence[int], lo: np.ndarray, hi: np.ndarray,
-                     ends: np.ndarray) -> Optional[list]:
-        """``ids`` on the comparator network ``(lo, hi, ends)`` (see
+                     ends: np.ndarray) -> list:
+        """``ids`` sorted on the comparator network ``(lo, hi, ends)`` (see
         :func:`fragility.primitives.build_schedule`), counted as a loop of
-        :meth:`less` over its comparators; None, with nothing counted, where the
-        payloads are not a NaN-free bool, int, uint, float, str or bytes array.
+        :meth:`less` over its comparators.
 
-        The m elements are ranked once in :meth:`less`'s strict order
-        (payload, then index); each layer is one ``np.minimum`` and one
+        Ids are checked before any count: an unknown id raises
+        :class:`UnknownElement`, and a repeated id :class:`SelfComparison`, as
+        its two copies would on meeting.  Above :data:`SCALAR_NETWORK_WIRES`
+        wires, where the payloads are a NaN-free bool, int, uint, float, str or
+        bytes array, the m elements are ranked once in :meth:`less`'s strict
+        order (payload, then index); each layer is one ``np.minimum`` and one
         ``np.maximum`` on ranks, so every comparator still meets the same two
-        elements.  Ids are checked before any count: a repeated id raises
-        :class:`SelfComparison`, as its two copies would on meeting.
+        elements.  Every other network runs that loop of :meth:`less`.
         """
-        vnum = self._vnum
-        if vnum is None or vnum.dtype.kind not in "biufUS":
-            return None
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and ids.view(np.uintp).max() >= self._n:
+        ids = list(ids)
+        m = len(ids)
+        if m and not (0 <= min(ids) and max(ids) < self._n):
             raise UnknownElement("network id outside session")
-        payloads = vnum[ids]
-        # NaN is unordered: less breaks it by index against everything
-        if payloads.dtype.kind == "f" and np.isnan(payloads).any():
-            return None
-        order = np.lexsort((ids, payloads))
-        elems = ids[order]  # rank -> id
-        if (elems[1:] == elems[:-1]).any():
+        if len(set(ids)) < m:
             raise SelfComparison("network holds an id twice")
+        vnum = self._vnum
+        ranked = m > SCALAR_NETWORK_WIRES and vnum is not None and vnum.dtype.kind in "biufUS"
+        if ranked:
+            wired = np.array(ids, dtype=np.intp)
+            payloads = vnum[wired]
+            # NaN is unordered: less breaks it by index against everything
+            ranked = payloads.dtype.kind != "f" or not np.isnan(payloads).any()
+        if not ranked:
+            less = self.less
+            for i, j in zip(lo.tolist(), hi.tolist()):
+                if not less(ids[i], ids[j]):
+                    ids[i], ids[j] = ids[j], ids[i]
+            return ids
+        order = np.lexsort((wired, payloads))
+        elems = wired[order]  # rank -> id
         ranks = np.empty_like(order)
-        ranks[order] = np.arange(ids.size)  # wire -> rank
+        ranks[order] = np.arange(m)  # wire -> rank
         met = []
         start = 0
         for end in ends.tolist():
@@ -203,7 +221,7 @@ class ComparisonLedger:
             met += (a, b)
             ranks[wa] = np.minimum(a, b)
             ranks[wb] = np.maximum(a, b)
-        tally = np.bincount(np.concatenate(met), minlength=ids.size) if met else 0
+        tally = np.bincount(np.concatenate(met), minlength=m) if met else 0
         self.counts[elems] += tally
         self.total += lo.size
         if self._phase is not None:

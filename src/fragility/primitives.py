@@ -3,12 +3,10 @@
 Sorting uses Batcher's odd-even mergesort network, whose depth bounds the
 number of comparisons any single element participates in.  The network on m
 wires has one representation, ``build_schedule(m)``: cached read-only index
-arrays of its comparators in layer order, which both paths of
-``network_sort`` read: a loop of counted ``less`` calls, and one
-``ComparisonLedger.sort_network`` call that runs every layer on the elements'
-ranks.  The remaining primitives (tournament minimum, galloping merge,
-deterministic selection) are shared by the search, selection and adaptive
-modules.
+arrays of its comparators in layer order, which ``network_sort`` hands to
+``ComparisonLedger.sort_network`` to run.  The remaining primitives
+(tournament minimum, galloping merge, deterministic selection) are shared by
+the search, selection and adaptive modules.
 """
 
 from __future__ import annotations
@@ -41,79 +39,43 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _batcher_network(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Knuth's odd-even merge sort on n = 2^t wires, in the form of
-    :func:`build_schedule`.
+def build_schedule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knuth's odd-even merge sort network on m wires as read-only arrays
+    ``(lo, hi, ends)``.
 
-    Pass (p, k) compares wire x with x + k when x >= r = k mod p,
-    (x - r) mod 2k < k, x + k < n, and both wires lie in one block of 2p.
+    Comparator c orders wires ``lo[c] < hi[c]``; layer i holds comparators
+    ``ends[i-1]:ends[i]`` (from 0 for the first), and the wires within a layer
+    are disjoint.  Pass (p, k) compares wire x with y = x + k when x >= r =
+    k mod p, (x - r) mod 2k < k, y < m, and both wires lie in one block of 2p;
+    empty passes are dropped.  This is the network for the next power of two
+    less every comparator that touches a wire >= m: those wires hold imagined
+    plus-infinity sentinels, which never move below the real wires.
     """
-    x = np.arange(n, dtype=np.intp)
+    x = np.arange(m, dtype=np.intp)
     los, his = [], []
     p = 1
-    while p < n:
+    while p < m:
         k = p
         while k >= 1:
             r = k % p
-            y = x + k
-            lo = x[(x >= r) & ((x - r) % (2 * k) < k) & (y < n) & (x // (2 * p) == y // (2 * p))]
-            los.append(lo)
-            his.append(lo + k)
+            lo = x[r : m - k]  # r <= x and x + k < m
+            lo = lo[((lo - r) % (2 * k) < k) & (lo % (2 * p) < 2 * p - k)]  # x + k in x's block
+            if lo.size:
+                los.append(lo)
+                his.append(lo + k)
             k //= 2
         p *= 2
     ends = np.cumsum([len(lo) for lo in los], dtype=np.intp)
     return _read_only(np.concatenate([x[:0], *los]), np.concatenate([x[:0], *his]), ends)
 
 
-@lru_cache(maxsize=None)
-def build_schedule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The network on m wires as read-only arrays ``(lo, hi, ends)``.
-
-    Comparator c orders wires ``lo[c] < hi[c]``; layer i holds comparators
-    ``ends[i-1]:ends[i]`` (from 0 for the first), and the wires within a layer
-    are disjoint.  It is the network for the next power of two with every
-    comparator that touches a wire >= m dropped: those wires hold imagined
-    plus-infinity sentinels, which never move below the real wires.  Layers
-    left empty are dropped too.
-    """
-    lo, hi, ends = _batcher_network(1 << ceil_log2(m))
-    keep = hi < m
-    kept = np.cumsum(keep, dtype=np.intp)[ends - 1]
-    ends = np.unique(kept[kept > 0])
-    return _read_only(lo[keep], hi[keep], ends)
-
-
-# Small networks are faster one comparator at a time through ``less`` than in
-# one ``sort_network`` call, whose ranking and tally cost ~12 us in all.  Warm
-# schedule, in a phase (CPython 3.11.7, numpy 2.4.6, 2 vCPU), scalar against
-# sort_network: 23-26 against 31-32 us at 12 wires, 29-31 against 31-33 at 14,
-# 32-36 against 31-32 at 15, 35-37 against 31-33 at 16, 100-106 against 44 at 32.
-SCALAR_NETWORK_WIRES = 14
-
-
 def network_sort(ledger: ComparisonLedger, ids: Sequence[int]) -> list[int]:
     """Sort via the Batcher network; per-element comparisons <= network depth.
 
-    Small networks, and payloads that :meth:`ComparisonLedger.sort_network`
-    cannot rank (NaN, tuples, objects), run their comparators one at a time
-    through :meth:`ComparisonLedger.less`; larger ones run in one
-    ``sort_network`` call.  Both apply the same comparators to the same
-    elements, so the result and every count are identical.
+    :meth:`ComparisonLedger.sort_network` runs the network, counted as a loop
+    of :meth:`ComparisonLedger.less` over its comparators.
     """
-    m = len(ids)
-    if m < 2:
-        return list(ids)
-    lo, hi, ends = build_schedule(m)
-    if m > SCALAR_NETWORK_WIRES:
-        out = ledger.sort_network(ids, lo, hi, ends)
-        if out is not None:
-            return out
-    out = list(ids)
-    less = ledger.less
-    for i, j in zip(lo.tolist(), hi.tolist()):
-        if not less(out[i], out[j]):
-            out[i], out[j] = out[j], out[i]
-    return out
+    return list(ids) if len(ids) < 2 else ledger.sort_network(ids, *build_schedule(len(ids)))
 
 
 def tournament_min(ledger: ComparisonLedger, ids: Sequence[int]) -> int:

@@ -877,6 +877,20 @@ def test_cli_run_with_spec_file(tmp_path):
     assert payload["spec"]["algorithm"] == "network_sort"
 
 
+@pytest.mark.parametrize("flags", [["--seed", "99", "--n", "5"], ["--algo", "network_sort"],
+                                   ["--duplicates"]], ids=["seed-n", "algo", "duplicates"])
+def test_cli_run_rejects_spec_flags_beside_a_spec_file(flags, tmp_path, capsys):
+    """A spec flag beside ``--spec`` exits 2, naming it, rather than be dropped."""
+    spec_path = tmp_path / "exp.spec"
+    spec_path.write_text("algorithm = tournament_min\nn = 64\ntrials = 2\nseed = 1\n",
+                         encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--spec", str(spec_path), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
+
+
 def test_cli_report_aggregates(tmp_path, capsys):
     paths = []
     for algo in ("tournament_min", "network_sort"):

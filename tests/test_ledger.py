@@ -504,3 +504,36 @@ def test_sort_network_checks_ids_before_any_count(make):
         network_sort(ledger, list(range(19)) + [0])
     assert not ledger.counts.any() and not ledger.phase_counts("p").any()
     assert ledger.total == 0
+
+
+@pytest.mark.parametrize("make", [list, np.array, lambda v: [Fraction(x) for x in v]],
+                         ids=["list", "array", "object"])
+def test_network_sort_checks_ids_before_any_count(make):
+    """A small network, or one on payloads that cannot be ranked, also checks
+    its ids first: the scalar loop once counted comparators until it met the
+    bad id."""
+    ledger, _ = new_session(make([5, 4, 3, 2, 1, 0]))
+    for ids, error in (([3, 1, 4, 0, 3], SelfComparison), ([0, 1, 2, 3, 6], UnknownElement),
+                       ([0, 1, 2, 3, -1], UnknownElement), ([0, 1, 2, 3, 4, 5, 0], SelfComparison)):
+        for phase in (False, True):
+            with ledger.in_phase("p") if phase else contextlib.nullcontext():
+                with pytest.raises(error):
+                    network_sort(ledger, ids)
+    assert not ledger.counts.any() and not ledger.phase_counts("p").any()
+    assert ledger.total == 0
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+def test_complex_payloads_batch_as_compare_does(make):
+    """Complex payloads have no order: both batch methods raise TypeError as
+    ``compare`` does, after counting the same first pair."""
+    values = [1 + 2j, 3 + 0j, 2 + 1j]
+    scalar, _ = new_session(make(values))
+    with pytest.raises(TypeError):
+        scalar.compare(0, 1)
+    for batch in ("less_batch", "compare_batch"):
+        ledger, _ = new_session(make(values))
+        with pytest.raises(TypeError):
+            getattr(ledger, batch)(np.array([0, 1]), np.array([1, 2]))
+        assert ledger.counts.tolist() == scalar.counts.tolist()
+        assert ledger.total == scalar.total == 1

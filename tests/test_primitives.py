@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragility import generators, primitives
+from fragility import generators
 from fragility.errors import EmptyInput, RankOutOfRange
 from fragility.ledger import audit_sorted, new_session
 from fragility.primitives import (
@@ -74,6 +74,42 @@ def test_schedule_matches_the_pinned_networks():
     assert h.hexdigest() == "e83aeaad789515c133c55c8aaca414b8a12a96c530da573118be8fd65fa8a5b3"
 
 
+def _masked_power_of_two_network(m):
+    """Knuth's odd-even merge sort on the next power of two n, less every
+    comparator that touches a wire >= m, empty passes dropped: the reference
+    that :func:`build_schedule`, which runs the passes on m wires, must give."""
+    n = 1 << ceil_log2(m)
+    x = np.arange(n, dtype=np.intp)
+    passes = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            r = k % p
+            y = x + k
+            lo = x[(x >= r) & ((x - r) % (2 * k) < k) & (y < n) & (x // (2 * p) == y // (2 * p))]
+            lo = lo[lo + k < m]
+            passes.append((lo, lo + k))
+            k //= 2
+        p *= 2
+    passes = [(lo, hi) for lo, hi in passes if lo.size]
+    return ([lo for lo, _ in passes], [hi for _, hi in passes],
+            np.cumsum([lo.size for lo, _ in passes], dtype=np.intp))
+
+
+def test_schedule_is_the_masked_power_of_two_network():
+    sizes = [*range(1, 601), *(2**t + d for t in range(10, 16) for d in (-1, 0, 1))]
+    try:
+        for m in sizes:
+            lo, hi, ends = build_schedule(m)
+            los, his, want_ends = _masked_power_of_two_network(m)
+            assert lo.tolist() == np.concatenate([lo[:0], *los]).tolist(), m
+            assert hi.tolist() == np.concatenate([hi[:0], *his]).tolist(), m
+            assert ends.tolist() == want_ends.tolist(), m
+    finally:
+        build_schedule.cache_clear()  # the widest networks hold tens of MB
+
+
 def test_schedule_arrays_are_read_only():
     for arr in build_schedule(5):
         with pytest.raises(ValueError):
@@ -111,8 +147,8 @@ def test_network_sort_fragility_at_most_depth(m):
 
 @pytest.mark.parametrize("m", range(1, 33))
 def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
-    """Small networks compare one pair at a time, larger ones run in one
-    ``sort_network`` call; nothing observable differs on either side of
+    """``sort_network`` runs small networks one pair at a time and ranks
+    larger ones; nothing observable differs on either side of
     ``SCALAR_NETWORK_WIRES``."""
     rng = np.random.default_rng(m)
     for trial in range(20):
@@ -123,7 +159,7 @@ def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
         order = [int(i) for i in rng.permutation(m)]
         runs = []
         for wires in (m, 0):
-            monkeypatch.setattr(primitives, "SCALAR_NETWORK_WIRES", wires)
+            monkeypatch.setattr("fragility.ledger.SCALAR_NETWORK_WIRES", wires)
             ledger, ids = new_session(values)
             with ledger.in_phase("sort"):
                 out = network_sort(ledger, [ids[i] for i in order])
@@ -169,22 +205,16 @@ _NETWORK_SESSIONS = {
 )
 def test_sort_network_replays_the_scalar_network(kind, values, data, phase):
     """``ComparisonLedger.sort_network`` on any subset of a session's ids
-    answers and counts as the network's comparators run through ``less``; on
-    payloads it cannot rank it returns None, counts nothing, and
-    ``network_sort`` runs that scalar loop."""
+    answers and counts as the network's comparators run through ``less``, on
+    the payloads it ranks and on those it cannot."""
     ids = data.draw(st.permutations(range(len(values))))
     ids = ids[: data.draw(st.integers(0, len(ids)))]
-    unranked = kind == "tuple" or (kind == "nan" and any(values[i] in (-3, 2) for i in ids))
     runs = []
     for ranked in (True, False):
         ledger, _ = new_session(_NETWORK_SESSIONS[kind](values))
         with ledger.in_phase("sort") if phase else contextlib.nullcontext():
             if ranked:
                 out = ledger.sort_network(ids, *build_schedule(len(ids)))
-                assert (out is None) == unranked
-                if out is None:
-                    assert ledger.total == 0 and not ledger.counts.any()
-                    out = network_sort(ledger, ids)
             else:
                 out = _scalar_network(ledger, ids)
         runs.append((out, ledger.counts.tolist(), ledger.total,

@@ -27,7 +27,11 @@ random payloads, outside any phase (``outside``) and inside one
 small-many trial's batches hold, on an array session of ``BATCH_N`` random
 payloads, outside and inside a phase, in nanoseconds per call.  Prints one
 JSON object of median and best microseconds per step and size (nanoseconds
-per call for ``less`` and ``less_batch``).
+per call for ``less`` and ``less_batch``).  ``faults`` runs in a child
+process: through ``cli.main``, as ``fragility run`` does, so under the heap
+policy that ``main`` sets, it runs select_kth at n = 2^17 for k = 2, 4, 8 with
+``FAULT_TRIALS`` trials each, once to warm up and then ``SLOW_SAMPLES`` times,
+and gives the minor page faults and milliseconds per trial of those rounds.
 To compare two checkouts, run it alternately with each one's ``src``
 directory:
 
@@ -39,6 +43,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
+import resource
 import statistics
 import sys
 import time
@@ -56,6 +63,7 @@ BATCH_N = 100  # small-many's n, for the ``less_batch`` step
 BATCH_PAIRS = 38  # pairs per ``less_batch`` call
 SLOW_SAMPLES = 5  # timed samples per step that takes up to seconds
 SAMPLE_S = 0.05  # seconds of repetitions per sample
+FAULT_TRIALS = 5  # select_kth trials per k in the ``faults`` step, as select-large runs them
 
 
 def time_step(step, count: int = SAMPLES) -> dict:
@@ -99,6 +107,32 @@ def time_less(ledger, ids) -> dict:
             less(a, b)
 
     return time_in_and_out_of_phase(ledger, scan, len(pairs))
+
+
+def select_faults(src: str) -> dict:
+    """Median and extreme minor faults and milliseconds per select_kth trial
+    at n = ``LARGE`` through ``cli.main``; run it in a child process, as
+    ``main`` may change the allocator's settings."""
+    sys.path.insert(0, src)
+    from fragility import cli
+
+    def one_round():
+        for k in (2, 4, 8):
+            argv = ["run", "--algo", "select_kth", "--n", str(LARGE), "--k", str(k), "--epsilon", "0.25",
+                    "--trials", str(FAULT_TRIALS), "--seed", "1", "--out", os.devnull]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"fragility {' '.join(argv)} failed")
+
+    one_round()
+    faults, ms = [], []
+    trials = 3 * FAULT_TRIALS
+    for _ in range(SLOW_SAMPLES):
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        one_round()
+        ms.append((time.perf_counter() - t0) / trials * 1e3)
+        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / trials)
+    return {"faults_per_trial": {"median": statistics.median(faults), "max": max(faults)},
+            "ms_per_trial": {"median": statistics.median(ms), "best": min(ms)}}
 
 
 def main() -> int:
@@ -172,6 +206,8 @@ def main() -> int:
     b = a + 1
     batch = lambda: ledger.less_batch(a, b)
     out["less_batch"] = {f"{BATCH_N}x{BATCH_PAIRS}": time_in_and_out_of_phase(ledger, batch, 1)}
+    with multiprocessing.get_context("spawn").Pool(1) as child:
+        out["faults"] = {str(LARGE): child.apply(select_faults, (args.src,))}
     print(json.dumps(out))
     return 0
 

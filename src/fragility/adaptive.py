@@ -56,42 +56,36 @@ _BASE_WIDTH = 32
 def count_permutation_inversions(perm: np.ndarray) -> int:
     """Inversions of a permutation of 0..n-1 by bottom-up merging of rows.
 
-    The values go into an int32 array (int64 when 2n+1 does not fit), padded
-    to a power of two with the sentinel n.  Sentinels only follow real values
-    and are equal to each other, so no pair involving one is an inversion.
-
-    First, a padded array of at most 128 values is counted whole, by one
-    pairwise comparison under the strict-upper-triangle mask (at n = 100 about
-    three times faster than 8-wide blocks and four merge levels).  A longer
-    one is cut into blocks of 32 and stored one column per block, so that the
-    pairs d apart within every block are two contiguous slices: one compare
-    per offset d = 1..31 counts them all (at n = 2^17 this base step takes
-    about 0.6 ms and at most 128 KB at a time, where one 32x32 pairwise cube
-    over all blocks took 2.3 ms and 4 MB).  Then each level pairs two
-    sorted halves of width w into a row
-    of 2w tags ``(value << 1) | half`` and sorts the rows; equal values (only
-    sentinels) put the left half first.  In a row, the j-th right-half tag at
+    A permutation of at most 128 values is counted whole, by one pairwise
+    comparison under the strict-upper-triangle mask (at n = 100 about three
+    times faster than 8-wide blocks and four merge levels).  A longer one goes
+    into an int32 array (int64 when 2n+1 does not fit), padded to a power of
+    two with the sentinel n.  Sentinels only follow real values and are equal
+    to each other, so no pair involving one is an inversion.  The array is cut
+    into blocks of 32 and stored one column per block, so that the pairs d
+    apart within every block are two contiguous slices: one compare per
+    offset d = 1..31 counts them all (at n = 2^17 this base step takes about
+    0.6 ms and at most 128 KB at a time, where one 32x32 pairwise cube over
+    all blocks took 2.3 ms and 4 MB).  Then each level pairs two sorted
+    halves of width w into a row of 2w tags ``(value << 1) | half`` and sorts
+    the rows; equal values (only sentinels) put the left half first.  In a row, the j-th right-half tag at
     position p follows p - j left-half values, so the other w - (p - j) left
     values exceed it; over a row that sums to (3w^2 - w)/2 minus the right
     tags' positions.  See Knuth, TAOCP Vol. 3, 5.1.1.
     """
     n = int(perm.size)
-    if n < 2:
-        return 0
+    if n <= _UPPER.shape[0]:
+        return int(np.count_nonzero((perm[:, None] > perm) & _UPPER[:n, :n]))
     padded = 1 << (n - 1).bit_length()
     dtype = np.int32 if 2 * n + 1 <= np.iinfo(np.int32).max else np.int64
     a = np.full(padded, n, dtype=dtype)
     a[:n] = perm
-    if padded <= _UPPER.shape[0]:
-        w = padded
-        inv = int(np.count_nonzero((a[:, None] > a) & _UPPER[:w, :w]))
-    else:
-        w = _BASE_WIDTH
-        blocks = padded // w
-        cols = a.reshape(blocks, w).T.ravel()  # position i of block b at i*blocks + b
-        inv = 0
-        for end in range(padded - blocks, 0, -blocks):  # offsets d = 1..w-1
-            inv += int(np.count_nonzero(cols[:end] > cols[padded - end :]))
+    w = _BASE_WIDTH
+    blocks = padded // w
+    cols = a.reshape(blocks, w).T.ravel()  # position i of block b at i*blocks + b
+    inv = 0
+    for end in range(padded - blocks, 0, -blocks):  # offsets d = 1..w-1
+        inv += int(np.count_nonzero(cols[:end] > cols[padded - end :]))
     a.reshape(-1, w).sort(axis=1)
     a <<= 1
     while w < padded:

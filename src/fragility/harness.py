@@ -278,11 +278,11 @@ def _oracle(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 # Trials of at least this many elements run the oracle on a worker thread
-# while the algorithm runs.  Timed one process per mode (2 vCPU), a select_kth
-# trial took 1.3-1.4 ms inline and 1.7-2.5 overlapped at 8192, 4.8-5.7 and
-# 4.3-4.5 at 2^15, 7.9-8.2 and 7.1-7.8 at 2^16; perfbench select-large (2^17)
-# read 50-58 and 54-71 trials/s, for 4 MB more peak RSS.  One process timing
-# both modes reads the overlap slower.  Only OVERLAPPED's array-native
+# while the algorithm runs.  Timed one process per mode through cli.main, so
+# with its heap policy (2 vCPU), a select_kth trial took 1.30-1.38 ms inline
+# and 1.57-2.09 overlapped at 8192, 3.5-4.4 and 3.2-4.7 at 2^15 (overlap
+# faster in 3 of 6 paired rounds), 6.6-7.5 and 5.5-6.3 at 2^16.  One process
+# timing both modes reads the overlap slower.  Only OVERLAPPED's array-native
 # algorithms, whose numpy calls release the GIL, run beside the thread.
 OVERLAP_MIN_N = 1 << 16
 OVERLAPPED = ("select_kth",)

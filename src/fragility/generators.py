@@ -77,8 +77,7 @@ def gen_lower_bound_instance(n: int, k: int, rng: np.random.Generator) -> list[i
     if not (0 <= k <= n * n):
         raise InfeasibleTarget(f"k={k} infeasible for n={n}")
     r = min(int(math.isqrt(k)), n)
-    prefix = [int(v) for v in rng.permutation(r)]
-    return prefix + list(range(r, n))
+    return rng.permutation(r).tolist() + list(range(r, n))
 
 
 def gen_adversarial_run_plus_one(n: int, rng: np.random.Generator) -> list[int]:
@@ -97,9 +96,8 @@ def gen_two_runs(n: int, split: int, rng: np.random.Generator) -> list[int]:
     picks = rng.permutation(n)[:split]
     mask = np.zeros(n, dtype=bool)
     mask[picks] = True
-    first = sorted(int(v) for v in np.nonzero(mask)[0])
-    second = sorted(int(v) for v in np.nonzero(~mask)[0])
-    return first + second
+    # flatnonzero lists the positions in ascending order
+    return np.flatnonzero(mask).tolist() + np.flatnonzero(~mask).tolist()
 
 
 def with_duplicates(values: Sequence[int]) -> list[int]:

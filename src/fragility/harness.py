@@ -288,15 +288,17 @@ OVERLAP_MIN_N = 1 << 16
 OVERLAPPED = ("select_kth",)
 
 
-def _load(ledger: ComparisonLedger, counts: np.ndarray) -> dict:
-    """The row's load fields over ``counts``, a prefix of the ledger's counts;
-    raises :class:`CountMismatch` unless the ledger's counts sum to twice its
-    total, as each comparison counts once for each of its two elements."""
-    doubled = int(ledger.counts.sum())
+def _load(ledger: ComparisonLedger, n: int) -> dict:
+    """The row's load fields over the ledger's first ``n`` counts; raises
+    :class:`CountMismatch` unless all its counts sum to twice its total, as
+    each comparison counts once for each of its two elements."""
+    counts = ledger.counts
+    doubled = int(counts.sum())
     if doubled != 2 * ledger.total:
         raise CountMismatch(
             f"the per-element counts sum to {doubled}, not 2 * total = {2 * ledger.total}"
         )
+    counts = counts[:n]
     return {
         "frag_max": int(counts.max()),
         "frag_mean": float(counts.mean()),
@@ -310,8 +312,9 @@ def _ordering_runner(call, answer, overlap):
 
     ``call(ledger, ids, vals, extra, spec, rng)`` runs the algorithm on the
     payload array ``vals`` and puts any row fields of its own into ``extra``.
-    ``answer`` names the oracle's answer in :data:`_ANSWERS` that the result
-    must equal, or is None when the call sets ``correct`` itself.
+    ``answer(order, row)`` gives the oracle's answer, from the canonical order
+    and the row, that the result must equal; it is None when the call sets
+    ``correct`` itself.
 
     The oracle reads only the payload array, never the ledger or the rng, so
     where ``overlap`` is set, from :data:`OVERLAP_MIN_N` elements on, it runs
@@ -339,22 +342,20 @@ def _ordering_runner(call, answer, overlap):
                 oracle = pool.submit(_oracle, arr)
                 res = call(ledger, ids, arr, extra, spec, rng)
             order, runs, inv = oracle.result()
-        row = {"n": int(arr.size), "runs": runs, "inv": inv, **_load(ledger, ledger.counts)}
+        row = {"n": int(arr.size), "runs": runs, "inv": inv, **_load(ledger, arr.size)}
         row.update(extra)
         if answer is not None:
-            row["correct"] = res == _ANSWERS[answer](order, row)
+            row["correct"] = res == answer(order, row)
         return row
 
     return run
 
 
-# expected answer -> the oracle's answer, from the canonical order and the row
-_ANSWERS: dict[str, Callable] = {
-    "least": lambda order, row: int(order[0]),
-    "median": lambda order, row: int(order[(row["n"] - 1) // 2]),
-    "k-th": lambda order, row: int(order[row["k"]]),
-    "sorted": lambda order, row: order.tolist(),
-}
+# the answer functions of :func:`_ordering_runner`
+_least = lambda order, row: int(order[0])
+_median = lambda order, row: int(order[(row["n"] - 1) // 2])
+_kth = lambda order, row: int(order[row["k"]])
+_sorted = lambda order, row: order.tolist()
 
 
 def _draw_k(spec, rng, extra, n) -> int:
@@ -415,27 +416,27 @@ def _small_median(ledger, ids, vals, extra, *_):
 
 
 # name -> (call, answer) of :func:`_ordering_runner`
-ORDERINGS: dict[str, tuple[Callable, Optional[str]]] = {
-    "select_kth": (_select_kth, "k-th"),
-    "min_by_runs": (lambda ledger, ids, *_: adaptive.min_by_runs(ledger, ids), "least"),
+ORDERINGS: dict[str, tuple[Callable, Optional[Callable]]] = {
+    "select_kth": (_select_kth, _kth),
+    "min_by_runs": (lambda ledger, ids, *_: adaptive.min_by_runs(ledger, ids), _least),
     "min_by_inv": (
         lambda ledger, ids, vals, extra, *_: adaptive.min_by_inv(ledger, ids, info=extra),
-        "least",
+        _least,
     ),
     "extract_sorted_run": (_extract, None),
-    "median_by_runs": (lambda ledger, ids, *_: adaptive.median_by_runs(ledger, ids), "median"),
-    "median_by_inv": (lambda ledger, ids, *_: adaptive.median_by_inv(ledger, ids), "median"),
-    "median_two_runs": (_median_two_runs, "median"),
-    "sort_by_inv": (lambda ledger, ids, *_: adaptive.sort_by_inv(ledger, ids), "sorted"),
-    "network_sort": (_network_sort, "sorted"),
-    "tournament_min": (lambda ledger, ids, *_: tournament_min(ledger, ids), "least"),
+    "median_by_runs": (lambda ledger, ids, *_: adaptive.median_by_runs(ledger, ids), _median),
+    "median_by_inv": (lambda ledger, ids, *_: adaptive.median_by_inv(ledger, ids), _median),
+    "median_two_runs": (_median_two_runs, _median),
+    "sort_by_inv": (lambda ledger, ids, *_: adaptive.sort_by_inv(ledger, ids), _sorted),
+    "network_sort": (_network_sort, _sorted),
+    "tournament_min": (lambda ledger, ids, *_: tournament_min(ledger, ids), _least),
     "mom_select": (
         lambda ledger, ids, vals, extra, spec, rng: mom_select(
             ledger, ids, _draw_k(spec, rng, extra, len(ids))
         ),
-        "k-th",
+        _kth,
     ),
-    "small_median": (_small_median, "median"),
+    "small_median": (_small_median, _median),
 }
 
 
@@ -454,7 +455,7 @@ def _search_runner(search):
             n=n,
             searches=len(ranks),
             correct=found == ranks.tolist(),
-            **_load(ledger, ledger.counts[:n]),
+            **_load(ledger, n),
         )
         return row
 
@@ -463,10 +464,9 @@ def _search_runner(search):
 
 def _exp_search(ledger, view, queries, ranks, rng):
     found = [exp_search(ledger, view, q) for q in queries]
+    counts = ledger.counts
     # a query takes part only in its own search
-    violations = [
-        int(ledger.counts[q]) - exp_search_query_budget(int(k)) for q, k in zip(queries, ranks)
-    ]
+    violations = [int(counts[q]) - exp_search_query_budget(int(k)) for q, k in zip(queries, ranks)]
     worst = int(np.argmax(violations))
     return found, {"max_violation": violations[worst], "worst_k": int(ranks[worst])}
 

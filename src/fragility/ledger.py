@@ -17,10 +17,10 @@ comparator counts one comparison of the same two elements as ``less`` would.
 Tests check results in the uncounted audit mode, so that those checks never
 distort the measured comparison counts.
 
-The int64 counters, ``counts`` and one per phase, are bumped by the scalar
-path through a ``memoryview`` of their memory (half a numpy item increment's
-cost), by the pair batches with ``np.add.at`` and by a ranked network once
-per network: one set of numbers.
+Each comparison is tallied once, in the int64 array of the innermost open
+phase or, outside every phase, the unphased one; ``counts`` is their sum.  The
+scalar path bumps it through a ``memoryview`` (half a numpy item increment's
+cost), the pair batches with ``np.add.at`` and a ranked network once.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ class ComparisonLedger:
     independent sessions for parallel trials.
     """
 
-    __slots__ = ("_values", "_vnum", "_n", "counts", "_tallies", "total", "_phase",
-                 "_phase_counts")
+    __slots__ = ("_values", "_vnum", "_n", "_phases", "_open", "_tallies", "total")
 
     def __init__(self, values: Sequence) -> None:
         if len(values) == 0:
@@ -76,12 +75,12 @@ class ComparisonLedger:
         # array of another kind serves the batch path; the rest compare per pair
         self._vnum = None if vnum is None or vnum.dtype.kind in "Oc" or vnum.ndim != 1 else vnum
         self._n = len(self._values)
-        self.counts = np.zeros(self._n, dtype=np.int64)
-        self._tallies = memoryview(self.counts)
+        # phase name -> its tally, None -> outside every phase; a comparison
+        # bumps _open, the innermost open phase's tally, through _tallies
+        self._open = np.zeros(self._n, dtype=np.int64)
+        self._phases: dict[Optional[str], np.ndarray] = {None: self._open}
+        self._tallies = memoryview(self._open)
         self.total = 0
-        # the open phase's (counts, memoryview), as (counts, _tallies) are
-        self._phase: Optional[tuple[np.ndarray, memoryview]] = None
-        self._phase_counts: dict[str, tuple[np.ndarray, memoryview]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -107,11 +106,6 @@ class ComparisonLedger:
         tallies[a] += 1
         tallies[b] += 1
         self.total += 1
-        phase = self._phase
-        if phase is not None:
-            tallies = phase[1]
-            tallies[a] += 1
-            tallies[b] += 1
         va, vb = self._values[a], self._values[b]
         return -1 if va < vb else 1 if vb < va else 0
 
@@ -168,10 +162,14 @@ class ComparisonLedger:
         vnum = self._vnum
         if vnum is None:
             return a_indices, b_indices, None, None
-        _tally(self.counts, a_indices, b_indices)
+        # one comparison per pair on both sides; a single b takes them all
+        tally = self._open
+        np.add.at(tally, a_indices, 1)
+        if b_indices.ndim:
+            np.add.at(tally, b_indices, 1)
+        else:
+            tally[b_indices] += a_indices.size
         self.total += a_indices.size
-        if self._phase is not None:
-            _tally(self._phase[0], a_indices, b_indices)
         return a_indices, b_indices, vnum[a_indices], vnum[b_indices]
 
     def sort_network(self, ids: Sequence[int], lo: np.ndarray, hi: np.ndarray,
@@ -222,10 +220,8 @@ class ComparisonLedger:
             ranks[wa] = np.minimum(a, b)
             ranks[wb] = np.maximum(a, b)
         tally = np.bincount(np.concatenate(met), minlength=m) if met else 0
-        self.counts[elems] += tally
+        self._open[elems] += tally
         self.total += lo.size
-        if self._phase is not None:
-            self._phase[0][elems] += tally
         return elems[ranks].tolist()
 
     # -- audit mode -----------------------------------------------------
@@ -246,39 +242,42 @@ class ComparisonLedger:
         """Audit-only total-order key (payload, then index)."""
         return (self.payload(a), a)
 
-    # -- phases ----------------------------------------------------------
+    # -- counts and phases ------------------------------------------------
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each element's load, the sum of the unphased tally and every phase's:
+        the unphased tally itself, live, until a phase is first opened, and
+        from then on a fresh array on every read."""
+        phases = self._phases
+        return phases[None] if len(phases) == 1 else sum(phases.values())
 
     @contextmanager
     def in_phase(self, name: str):
-        phase = self._phase_counts.get(name)
-        if phase is None:
-            counts = np.zeros(self._n, dtype=np.int64)
-            phase = self._phase_counts[name] = (counts, memoryview(counts))
-        previous = self._phase
-        self._phase = phase
+        """Tally the body's comparisons in phase ``name`` alone, and none of
+        them in an enclosing phase or outside every phase; the enclosing tally
+        is open again on exit, also when the body raises."""
+        tally = self._phases.get(name)
+        if tally is None:
+            tally = self._phases[name] = np.zeros(self._n, dtype=np.int64)
+        previous = self._open, self._tallies
+        self._open, self._tallies = tally, memoryview(tally)
         try:
             yield
         finally:
-            self._phase = previous
+            self._open, self._tallies = previous
 
     def phase_counts(self, name: str) -> np.ndarray:
-        phase = self._phase_counts.get(name)
-        return np.zeros(self._n, dtype=np.int64) if phase is None else phase[0]
+        """Each element's load from the comparisons made while ``name`` was the
+        innermost open phase: the live tally, or zeros for a phase never opened."""
+        tally = self._phases.get(name)
+        return np.zeros(self._n, dtype=np.int64) if tally is None else tally
 
 
 def _per_pair(scalar, a_indices: np.ndarray, b_indices: np.ndarray, dtype) -> np.ndarray:
     """``scalar(a, b)`` per pair, for payloads that numpy cannot compare."""
     pairs = zip(a_indices.tolist(), np.broadcast_to(b_indices, a_indices.shape).tolist())
     return np.array([scalar(i, j) for i, j in pairs], dtype=dtype)
-
-
-def _tally(counts: np.ndarray, a_indices: np.ndarray, b_indices: np.ndarray) -> None:
-    """Count one comparison per pair on both sides; a single b takes them all."""
-    np.add.at(counts, a_indices, 1)
-    if b_indices.ndim:
-        np.add.at(counts, b_indices, 1)
-    else:
-        counts[b_indices] += a_indices.size
 
 
 def _scalar_view(vnum: np.ndarray) -> Optional[memoryview]:

@@ -537,3 +537,49 @@ def test_complex_payloads_batch_as_compare_does(make):
             getattr(ledger, batch)(np.array([0, 1]), np.array([1, 2]))
         assert ledger.counts.tolist() == scalar.counts.tolist()
         assert ledger.total == scalar.total == 1
+
+
+# the calls of test_phases_partition_the_counts; payloads 0..11 over 48
+# elements, so ties meet on every path
+_PAYLOADS = np.random.default_rng(24).integers(0, 12, 48).tolist()
+_LESS = lambda ledger: [ledger.less(i, i + 1) for i in range(0, 8, 2)]
+_BATCH = lambda ledger: ledger.less_batch(np.arange(8, 16), np.arange(16, 24))
+_BATCH_ONE = lambda ledger: ledger.less_batch(np.arange(24, 32), 3)
+_NET_5 = lambda ledger: network_sort(ledger, list(range(40, 45)))
+_NET_40 = lambda ledger: network_sort(ledger, list(range(2, 42)))
+
+
+@pytest.mark.parametrize("kind", ["array", "list", "object"])
+def test_phases_partition_the_counts(kind):
+    """Each comparison is tallied once, in the innermost open phase or outside
+    every phase, on every counting path: ``counts`` is what a ledger without
+    phases counts, and each phase holds what its own calls count alone."""
+
+    def twin(*calls):
+        ledger, _ = new_session(_SESSIONS[kind](_PAYLOADS))
+        for call in calls:
+            call(ledger)
+        return ledger.counts.tolist()
+
+    ledger, _ = new_session(_SESSIONS[kind](_PAYLOADS))
+    assert (ledger._vnum is None) == (kind == "object")
+    _LESS(ledger)
+    with ledger.in_phase("outer"):
+        _BATCH(ledger)
+        with ledger.in_phase("inner"):
+            _LESS(ledger)
+            _NET_5(ledger)
+            _BATCH_ONE(ledger)
+            # a read inside a phase holds that phase's comparisons
+            assert ledger.counts.tolist() == twin(_LESS, _BATCH, _LESS, _NET_5, _BATCH_ONE)
+        _NET_40(ledger)
+        # a later read holds the later comparisons
+        assert ledger.counts.tolist() == twin(_LESS, _BATCH, _LESS, _NET_5, _BATCH_ONE, _NET_40)
+    with pytest.raises(SelfComparison), ledger.in_phase("inner"):
+        ledger.less(5, 5)
+    _BATCH_ONE(ledger)  # outside every phase again, after a body that raised
+    everything = (_LESS, _BATCH, _LESS, _NET_5, _BATCH_ONE, _NET_40, _BATCH_ONE)
+    assert ledger.counts.tolist() == twin(*everything)
+    assert ledger.phase_counts("outer").tolist() == twin(_BATCH, _NET_40)
+    assert ledger.phase_counts("inner").tolist() == twin(_LESS, _NET_5, _BATCH_ONE)
+    assert int(ledger.counts.sum()) == 2 * ledger.total

@@ -56,6 +56,9 @@ def child_seed(seed: int, trial: int) -> int:
     return (seed * GOLDEN + trial) % (1 << 64)
 
 
+# sequence generator -> (the spec field that sets its target, its default at size n)
+_TARGETS = {"controlled_runs": ("runs", lambda n: 2), "controlled_inv": ("inv", lambda n: n),
+            "two_runs": ("split", lambda n: n // 2), "lower_bound": ("k", lambda n: n)}
 # the spellings of a bool that a spec file may use
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # a spec field's type -> how a string of that type reads
@@ -101,22 +104,29 @@ class ExperimentSpec:
             raise ConfigError(f"epsilon={self.epsilon} must be in (0, 1]")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.runs is not None and not (1 <= self.runs <= self.n):
-            raise ConfigError(f"runs={self.runs} infeasible for n={self.n}")
-        if self.inv is not None and not (0 <= self.inv <= self.n * (self.n - 1) // 2):
-            raise ConfigError(f"inv={self.inv} infeasible for n={self.n}")
-        if self.split is not None and not (0 <= self.split <= self.n):
-            raise ConfigError(f"split={self.split} infeasible for n={self.n}")
-        if self.k is not None:
-            if self.algorithm in ("select_kth", "mom_select") and not 0 <= self.k < self.n:
-                raise ConfigError(f"k={self.k} outside [0, {self.n}) for {self.algorithm!r}")
-            if self.generator == "lower_bound" and not 0 <= self.k <= self.n * self.n:
-                raise ConfigError(f"k={self.k} infeasible for n={self.n}")
+        n = self.n
+        if self.algorithm in ("select_kth", "mom_select") and not 0 <= (self.k or 0) < n:
+            raise ConfigError(f"k={self.k} outside [0, {n}) for {self.algorithm!r}")
+        # the targets that are set, and the generator's own at its default
+        feasible = {"runs": (1, n), "inv": (0, n * (n - 1) // 2), "split": (0, n)}
+        if self.generator == "lower_bound":
+            feasible["k"] = (0, n * n)
+        for key, (low, high) in feasible.items():
+            value = self.target(key)
+            if value is not None and not low <= value <= high:
+                raise ConfigError(f"{key}={value} infeasible for n={n}")
         if self.generator == "adversarial_run_plus_one" and self.n < 2:
             raise ConfigError(f"generator 'adversarial_run_plus_one' needs n >= 2, not {self.n}")
         if self.algorithm == "median_two_runs" and not _two_runs_at_every_seed(self):
             raise ConfigError(f"median_two_runs needs a two-run input: generator {self.generator!r}"
                               f" can give more runs at n={self.n} (use two_runs)")
+
+    def target(self, key: str) -> Optional[int]:
+        """Field ``key`` as the sequence generators read it: unset, the
+        default in :data:`_TARGETS` where it is the generator's target."""
+        field, default = _TARGETS.get(self.generator, (None, None))
+        value = getattr(self, key)
+        return default(self.n) if value is None and key == field else value
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
@@ -148,11 +158,11 @@ def _two_runs_at_every_seed(spec: ExperimentSpec) -> bool:
     if n <= (3 if spec.duplicates else 2) or spec.generator in ("two_runs", "adversarial_run_plus_one"):
         return True
     if spec.generator == "controlled_runs":
-        return spec.runs is None or spec.runs <= 2  # None: the default 2
-    if spec.generator == "controlled_inv":  # None: n inversions
-        return (n if spec.inv is None else spec.inv) <= (2 if n == 3 else 1)
+        return spec.target("runs") <= 2
+    if spec.generator == "controlled_inv":
+        return spec.target("inv") <= (2 if n == 3 else 1)
     if spec.generator == "lower_bound":  # a shuffled prefix of isqrt(k) values
-        return math.isqrt(n if spec.k is None else spec.k) <= (3 if spec.duplicates else 2)
+        return math.isqrt(spec.target("k")) <= (3 if spec.duplicates else 2)
     return False
 
 
@@ -184,31 +194,22 @@ def read_spec_file(path: str) -> dict[str, str]:
 # through a module attribute or a harness global, and never hold them as
 # function objects, so that a wrapper rebound to those names sees every trial.
 
-# name -> call(spec, rng) -> payloads; an unset target takes the default shown
+# name -> call(spec, rng) -> payloads; an unset target takes its default
 SEQUENCE_GENERATORS: dict[str, Callable] = {
     "random": lambda s, rng: generators.gen_random(s.n, rng),
-    "controlled_runs": lambda s, rng: generators.gen_controlled_runs(
-        s.n, 2 if s.runs is None else s.runs, rng
-    ),
-    "controlled_inv": lambda s, rng: generators.gen_controlled_inv(
-        s.n, s.n if s.inv is None else s.inv, rng
-    ),
+    "controlled_runs": lambda s, rng: generators.gen_controlled_runs(s.n, s.target("runs"), rng),
+    "controlled_inv": lambda s, rng: generators.gen_controlled_inv(s.n, s.target("inv"), rng),
     "adversarial_run_plus_one": lambda s, rng: generators.gen_adversarial_run_plus_one(s.n, rng),
-    "two_runs": lambda s, rng: generators.gen_two_runs(
-        s.n, s.n // 2 if s.split is None else s.split, rng
-    ),
-    "lower_bound": lambda s, rng: generators.gen_lower_bound_instance(
-        s.n, s.n if s.k is None else s.k, rng
-    ),
+    "two_runs": lambda s, rng: generators.gen_two_runs(s.n, s.target("split"), rng),
+    "lower_bound": lambda s, rng: generators.gen_lower_bound_instance(s.n, s.target("k"), rng),
 }
 
 
-def generate(spec: ExperimentSpec, rng: np.random.Generator) -> list[int] | np.ndarray:
-    """The payloads of ``spec``'s sequence generator, collapsed to pairs of
-    ties when ``spec.duplicates`` is set: a list, or the array that
-    ``gen_random`` returns."""
+def generate(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
+    """A trial's one payload array: ``spec``'s sequence generator's output,
+    collapsed to pairs of ties when ``spec.duplicates`` is set."""
     vals = SEQUENCE_GENERATORS[spec.generator](spec, rng)
-    return generators.with_duplicates(vals) if spec.duplicates else vals
+    return np.asarray(generators.with_duplicates(vals) if spec.duplicates else vals)
 
 
 def _uniform_ranks(spec, rng):
@@ -282,10 +283,9 @@ def _oracle(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
 # with its heap policy (2 vCPU), a select_kth trial took 1.30-1.38 ms inline
 # and 1.57-2.09 overlapped at 8192, 3.5-4.4 and 3.2-4.7 at 2^15 (overlap
 # faster in 3 of 6 paired rounds), 6.6-7.5 and 5.5-6.3 at 2^16.  One process
-# timing both modes reads the overlap slower.  Only OVERLAPPED's array-native
-# algorithms, whose numpy calls release the GIL, run beside the thread.
+# timing both modes reads the overlap slower.  Only array-native algorithms,
+# whose numpy calls release the GIL, run beside the thread.
 OVERLAP_MIN_N = 1 << 16
-OVERLAPPED = ("select_kth",)
 
 
 def _load(ledger: ComparisonLedger, n: int) -> dict:
@@ -306,15 +306,15 @@ def _load(ledger: ComparisonLedger, n: int) -> dict:
     }
 
 
-def _ordering_runner(call, answer, overlap):
-    """generate -> session -> ``call`` and the oracle -> row -> check the
-    result against the oracle.
+def _ordering_runner(call, check, overlap=False):
+    """generate -> session -> ``call`` and the oracle -> row -> ``check``.
 
-    ``call(ledger, ids, vals, extra, spec, rng)`` runs the algorithm on the
-    payload array ``vals`` and puts any row fields of its own into ``extra``.
-    ``answer(order, row)`` gives the oracle's answer, from the canonical order
-    and the row, that the result must equal; it is None when the call sets
-    ``correct`` itself.
+    The trial's one payload array goes to the session, to ``call`` and to
+    the oracle.  ``call(ledger, ids, vals, extra, spec, rng)`` runs the
+    algorithm and puts any row fields of its own into ``extra``.  The row's
+    ``correct`` is ``check(result, order, row)``: whether the result agrees
+    with ``order``, the canonical order that the oracle computes from the
+    payloads alone.
 
     The oracle reads only the payload array, never the ledger or the rng, so
     where ``overlap`` is set, from :data:`OVERLAP_MIN_N` elements on, it runs
@@ -328,34 +328,39 @@ def _ordering_runner(call, answer, overlap):
     def run(spec, rng):
         vals = generate(spec, rng)
         ledger, ids = new_session(vals)
-        arr = np.asarray(vals)
         extra: dict = {}
-        if not overlap or arr.size < OVERLAP_MIN_N:
-            res = call(ledger, ids, arr, extra, spec, rng)
-            order, runs, inv = _oracle(arr)
+        if not overlap or vals.size < OVERLAP_MIN_N:
+            res = call(ledger, ids, vals, extra, spec, rng)
+            order, runs, inv = _oracle(vals)
         else:
             # imported here: concurrent.futures.thread imports logging, ~9 ms
             # that every start-up would pay for trials that few runs take
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(1, thread_name_prefix="fragility-oracle") as pool:
-                oracle = pool.submit(_oracle, arr)
-                res = call(ledger, ids, arr, extra, spec, rng)
+                oracle = pool.submit(_oracle, vals)
+                res = call(ledger, ids, vals, extra, spec, rng)
             order, runs, inv = oracle.result()
-        row = {"n": int(arr.size), "runs": runs, "inv": inv, **_load(ledger, arr.size)}
+        row = {"n": int(vals.size), "runs": runs, "inv": inv, **_load(ledger, vals.size)}
         row.update(extra)
-        if answer is not None:
-            row["correct"] = res == answer(order, row)
+        row["correct"] = check(res, order, row)
         return row
 
     return run
 
 
-# the answer functions of :func:`_ordering_runner`
-_least = lambda order, row: int(order[0])
-_median = lambda order, row: int(order[(row["n"] - 1) // 2])
-_kth = lambda order, row: int(order[row["k"]])
-_sorted = lambda order, row: order.tolist()
+# the checks of :func:`_ordering_runner`
+_least = lambda res, order, row: res == int(order[0])
+_median = lambda res, order, row: res == int(order[(row["n"] - 1) // 2])
+_kth = lambda res, order, row: res == int(order[row["k"]])
+_sorted = lambda res, order, row: res == order.tolist()
+
+
+def _ascending_run(R, order, row) -> bool:
+    """R and I split the input, and R's canonical ranks strictly ascend."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(row["n"])
+    return len(R) + row["I_size"] == row["n"] and bool(np.all(np.diff(rank[R]) > 0))
 
 
 def _draw_k(spec, rng, extra, n) -> int:
@@ -391,9 +396,8 @@ def _select_kth(ledger, ids, vals, extra, spec, rng):
 
 def _extract(ledger, ids, vals, extra, *_):
     R, I = adaptive.extract_sorted_run(ledger, ids)
-    keys = [ledger.sort_key(e) for e in R]
-    extra["correct"] = keys == sorted(keys) and len(R) + len(I) == len(ids)
     extra["I_size"] = len(I)
+    return R
 
 
 def _median_two_runs(ledger, ids, vals, *_):
@@ -413,31 +417,6 @@ def _network_sort(ledger, ids, vals, extra, *_):
 def _small_median(ledger, ids, vals, extra, *_):
     extra["depth_bound"] = network_depth_bound(len(ids))
     return small_median(ledger, ids)
-
-
-# name -> (call, answer) of :func:`_ordering_runner`
-ORDERINGS: dict[str, tuple[Callable, Optional[Callable]]] = {
-    "select_kth": (_select_kth, _kth),
-    "min_by_runs": (lambda ledger, ids, *_: adaptive.min_by_runs(ledger, ids), _least),
-    "min_by_inv": (
-        lambda ledger, ids, vals, extra, *_: adaptive.min_by_inv(ledger, ids, info=extra),
-        _least,
-    ),
-    "extract_sorted_run": (_extract, None),
-    "median_by_runs": (lambda ledger, ids, *_: adaptive.median_by_runs(ledger, ids), _median),
-    "median_by_inv": (lambda ledger, ids, *_: adaptive.median_by_inv(ledger, ids), _median),
-    "median_two_runs": (_median_two_runs, _median),
-    "sort_by_inv": (lambda ledger, ids, *_: adaptive.sort_by_inv(ledger, ids), _sorted),
-    "network_sort": (_network_sort, _sorted),
-    "tournament_min": (lambda ledger, ids, *_: tournament_min(ledger, ids), _least),
-    "mom_select": (
-        lambda ledger, ids, vals, extra, spec, rng: mom_select(
-            ledger, ids, _draw_k(spec, rng, extra, len(ids))
-        ),
-        _kth,
-    ),
-    "small_median": (_small_median, _median),
-}
 
 
 def _search_runner(search):
@@ -500,8 +479,28 @@ SEARCHES: dict[str, Callable] = {
 # name -> runner(spec, rng) -> row
 ALGORITHMS: dict[str, Callable] = {
     **SEARCHES,
-    **{name: _ordering_runner(call, answer, name in OVERLAPPED)
-       for name, (call, answer) in ORDERINGS.items()},
+    "select_kth": _ordering_runner(_select_kth, _kth, overlap=True),
+    "min_by_runs": _ordering_runner(lambda ledger, ids, *_: adaptive.min_by_runs(ledger, ids),
+                                    _least),
+    "min_by_inv": _ordering_runner(
+        lambda ledger, ids, vals, extra, *_: adaptive.min_by_inv(ledger, ids, info=extra), _least),
+    "extract_sorted_run": _ordering_runner(_extract, _ascending_run),
+    "median_by_runs": _ordering_runner(lambda ledger, ids, *_: adaptive.median_by_runs(ledger, ids),
+                                       _median),
+    "median_by_inv": _ordering_runner(lambda ledger, ids, *_: adaptive.median_by_inv(ledger, ids),
+                                      _median),
+    "median_two_runs": _ordering_runner(_median_two_runs, _median),
+    "sort_by_inv": _ordering_runner(lambda ledger, ids, *_: adaptive.sort_by_inv(ledger, ids),
+                                    _sorted),
+    "network_sort": _ordering_runner(_network_sort, _sorted),
+    "tournament_min": _ordering_runner(lambda ledger, ids, *_: tournament_min(ledger, ids), _least),
+    "mom_select": _ordering_runner(
+        lambda ledger, ids, vals, extra, spec, rng: mom_select(
+            ledger, ids, _draw_k(spec, rng, extra, len(ids))
+        ),
+        _kth,
+    ),
+    "small_median": _ordering_runner(_small_median, _median),
 }
 
 

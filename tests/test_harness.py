@@ -478,7 +478,6 @@ def test_overlapped_oracle_rows_equal_inline_rows(started_threads, monkeypatch):
 ], ids=["sort_by_inv", "median_by_runs"])
 def test_the_oracle_overlaps_only_array_native_algorithms(spec, started_threads):
     """Algorithms that compare in Python loops hold the GIL: their oracle stays inline."""
-    assert spec.algorithm not in harness.OVERLAPPED
     assert run_experiment(spec).aggregates["correct_fraction"] == 1.0
     assert started_threads == []
 
@@ -671,6 +670,34 @@ def test_every_algorithm_passes_its_default_bounds(spec):
 
 def test_algorithm_registry_is_covered_by_smoke_specs():
     assert {s.algorithm for s in SMOKE_SPECS} == set(ALGORITHMS)
+
+
+@pytest.mark.parametrize("spec", [pytest.param(s, id=s.algorithm) for s in SMOKE_SPECS])
+def test_the_harness_never_uses_audit_mode(spec, monkeypatch):
+    """Every verdict comes from the numpy oracle over the payload array."""
+    def audit(*args):
+        raise AssertionError("the harness read the ledger in audit mode")
+
+    for name in ("sort_key", "payload", "audit_compare"):
+        monkeypatch.setattr(ComparisonLedger, name, audit)
+    assert run_experiment(spec).aggregates["correct_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("corrupt", [lambda R, I: ([R[1], R[0], *R[2:]], I),
+                                     lambda R, I: (R[:-1], I)], ids=["two-swapped", "one-dropped"])
+def test_a_wrong_extraction_reads_incorrect(corrupt, monkeypatch, tmp_path):
+    """The oracle, not the algorithm, decides the extraction's verdict: an R
+    out of order, or an R and I that miss an element, fail ``matches-oracle``."""
+    extract = adaptive.extract_sorted_run
+    monkeypatch.setattr(adaptive, "extract_sorted_run", lambda *args: corrupt(*extract(*args)))
+    report_path, verdict_path = tmp_path / "report.json", tmp_path / "verdicts.txt"
+    assert cli.main(["run", "--algo", "extract_sorted_run", "--generator", "controlled_inv",
+                     "--n", "256", "--inv", "40", "--trials", "3", "--out", str(report_path)]) == 0
+    rows = json.loads(report_path.read_text())["rows"]
+    assert [row["correct"] for row in rows] == [False] * 3
+    assert cli.main(["verify", "--report", str(report_path), "--out", str(verdict_path)]) == 1
+    failed = [line for line in verdict_path.read_text().splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 3 and all(" matches-oracle " in line for line in failed)
 
 
 def test_verify_rejects_mismatched_bound_set():

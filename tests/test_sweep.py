@@ -57,6 +57,8 @@ def test_a_bad_list_entry_exits_2_before_any_trial(tmp_path, capsys):
     ("algorithm = select_kth\nn = 100\nk = 5, 100\n", "k=100 outside [0, 100)"),
     ("algorithm = median_two_runs\ngenerator = two_runs, random\nn = 100\n",
      "median_two_runs needs a two-run input: generator 'random' can give more runs at n=100"),
+    # an unset inv means n, which no permutation of 2 elements has
+    ("algorithm = median_by_inv\ngenerator = controlled_inv\nn = 64, 2\n", "inv=2 infeasible for n=2"),
 ])
 def test_an_infeasible_list_entry_exits_2_before_any_trial(text, message, tmp_path, capsys):
     """The first combination is valid, the second not: neither runs."""
@@ -66,6 +68,21 @@ def test_an_infeasible_list_entry_exits_2_before_any_trial(text, message, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == "" and not outdir.exists()
     assert f"{path}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--generator", "controlled_runs", "--n", "1"], "runs=2 infeasible for n=1"),
+    (["--generator", "controlled_inv", "--n", "2"], "inv=2 infeasible for n=2"),
+], ids=["runs", "inv"])
+def test_run_rejects_an_infeasible_default_target_before_any_trial(argv, message, monkeypatch,
+                                                                   capsys):
+    """An unset runs means 2 and an unset inv n: neither fits these sizes."""
+    def no_trial(spec):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trial)
+    assert cli.main(["run", "--algo", "min_by_runs", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_two_combinations_with_one_report_name_exit_2(tmp_path, capsys):

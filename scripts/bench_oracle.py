@@ -5,8 +5,7 @@ sequence.
 
 ``oracle`` times ``_oracle_order(vals)`` followed by
 ``_measured_disorder(vals, order)`` at each size, on the int64 array that
-``gen_random`` returns, as a trial's oracle receives it; a checkout whose
-generator returns a Python list is timed on that list.  At n = 2^17,
+``gen_random`` returns, as a trial's oracle receives it.  At n = 2^17,
 ``oracle_peak_mb`` is the oracle's tracemalloc peak, and the script also
 times ``new_session`` on that array (``new_session``, the ledger's set-up
 and its release), and one counted ``_filter_at_most`` of the whole id pool

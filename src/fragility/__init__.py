@@ -14,11 +14,7 @@ from .errors import (
     SelfComparison,
     UnknownElement,
 )
-from .ledger import (
-    ComparisonLedger,
-    audit_sorted,
-    new_session,
-)
+from .ledger import ComparisonLedger, new_session
 
 __all__ = [
     "ComparisonLedger",
@@ -29,7 +25,6 @@ __all__ = [
     "RankOutOfRange",
     "SelfComparison",
     "UnknownElement",
-    "audit_sorted",
     "new_session",
 ]
 

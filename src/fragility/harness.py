@@ -194,7 +194,7 @@ def read_spec_file(path: str) -> dict[str, str]:
 # through a module attribute or a harness global, and never hold them as
 # function objects, so that a wrapper rebound to those names sees every trial.
 
-# name -> call(spec, rng) -> payloads; an unset target takes its default
+# name -> call(spec, rng) -> the payload array; an unset target takes its default
 SEQUENCE_GENERATORS: dict[str, Callable] = {
     "random": lambda s, rng: generators.gen_random(s.n, rng),
     "controlled_runs": lambda s, rng: generators.gen_controlled_runs(s.n, s.target("runs"), rng),
@@ -209,7 +209,7 @@ def generate(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """A trial's one payload array: ``spec``'s sequence generator's output,
     collapsed to pairs of ties when ``spec.duplicates`` is set."""
     vals = SEQUENCE_GENERATORS[spec.generator](spec, rng)
-    return np.asarray(generators.with_duplicates(vals) if spec.duplicates else vals)
+    return generators.with_duplicates(vals) if spec.duplicates else vals
 
 
 def _uniform_ranks(spec, rng):
@@ -306,6 +306,10 @@ def _load(ledger: ComparisonLedger, n: int) -> dict:
     }
 
 
+# the process's one oracle worker, made on the first overlapped trial
+_oracle_pool = None
+
+
 def _ordering_runner(call, check, overlap=False):
     """generate -> session -> ``call`` and the oracle -> row -> ``check``.
 
@@ -318,14 +322,19 @@ def _ordering_runner(call, check, overlap=False):
 
     The oracle reads only the payload array, never the ledger or the rng, so
     where ``overlap`` is set, from :data:`OVERLAP_MIN_N` elements on, it runs
-    on a one-worker ``ThreadPoolExecutor`` while ``call`` runs here.  It
-    spends most of its time in numpy calls that release the GIL, as
-    ``select_kth`` does.  Leaving the executor joins its worker, also when
-    ``call`` raises; ``result()`` raises the oracle's own exception here, and
-    the row is the same either way.
+    on the process's one oracle worker, a one-thread ``ThreadPoolExecutor``,
+    while ``call`` runs here.  It spends most of its time in numpy calls that
+    release the GIL, as ``select_kth`` does.  The trial waits for its oracle
+    also when ``call`` raises, whose error then propagates, not the
+    oracle's; ``result()`` raises the oracle's own exception here, and the
+    row is the same either way.  One worker serves every trial: with a new
+    thread per trial, a second select_kth run at 2^17 in one process took
+    300-345 minor page faults per trial in 2 of 20 processes, and under 1
+    in each of 20 with one worker.
     """
 
     def run(spec, rng):
+        global _oracle_pool
         vals = generate(spec, rng)
         ledger, ids = new_session(vals)
         extra: dict = {}
@@ -335,11 +344,15 @@ def _ordering_runner(call, check, overlap=False):
         else:
             # imported here: concurrent.futures.thread imports logging, ~9 ms
             # that every start-up would pay for trials that few runs take
-            from concurrent.futures import ThreadPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor, wait
 
-            with ThreadPoolExecutor(1, thread_name_prefix="fragility-oracle") as pool:
-                oracle = pool.submit(_oracle, vals)
+            if _oracle_pool is None:
+                _oracle_pool = ThreadPoolExecutor(1, thread_name_prefix="fragility-oracle")
+            oracle = _oracle_pool.submit(_oracle, vals)
+            try:
                 res = call(ledger, ids, vals, extra, spec, rng)
+            finally:
+                wait((oracle,))
             order, runs, inv = oracle.result()
         row = {"n": int(vals.size), "runs": runs, "inv": inv, **_load(ledger, vals.size)}
         row.update(extra)
@@ -427,6 +440,9 @@ def _search_runner(search):
     def run(spec, rng):
         n = spec.n
         ranks = RANK_GENERATORS[spec.generator](spec, rng)
+        # a list session: the searches compare one pair at a time, and a
+        # list item reads faster than a memoryview's (~0.30 against ~0.35 us
+        # per compare)
         values = [2 * i for i in range(n)] + [2 * int(r) - 1 for r in ranks]
         ledger, ids = new_session(values)
         found, row = search(ledger, make_view(ids[:n]), ids[n:], ranks, rng)

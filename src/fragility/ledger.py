@@ -14,8 +14,8 @@ the scalar and the batch paths alike; ``less``, ``less_batch`` and
 payloads it cannot rank, as a loop of ``less``; any other in one pass that
 ranks the elements in that order once and moves ranks layer by layer, so each
 comparator counts one comparison of the same two elements as ``less`` would.
-Tests check results in the uncounted audit mode, so that those checks never
-distort the measured comparison counts.
+The ledger has no uncounted read: tests and the harness check results against
+the payloads themselves, never through a session.
 
 Each comparison is tallied once, in the int64 array of the innermost open
 phase or, outside every phase, the unphased one; ``counts`` is their sum.  The
@@ -26,7 +26,7 @@ cost), the pair batches with ``np.add.at`` and a ranked network once.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -224,24 +224,6 @@ class ComparisonLedger:
         self.total += lo.size
         return elems[ranks].tolist()
 
-    # -- audit mode -----------------------------------------------------
-
-    def audit_compare(self, a: int, b: int) -> int:
-        """Uncounted :meth:`compare`: no count or total rises."""
-        self._check(a, b)
-        va, vb = self._values[a], self._values[b]
-        return -1 if va < vb else 1 if vb < va else 0
-
-    def payload(self, a: int):
-        """Audit-only payload access for oracles and verifiers."""
-        if not (0 <= a < self._n):
-            raise UnknownElement(str(a))
-        return self._values[a]
-
-    def sort_key(self, a: int) -> tuple:
-        """Audit-only total-order key (payload, then index)."""
-        return (self.payload(a), a)
-
     # -- counts and phases ------------------------------------------------
 
     @property
@@ -301,8 +283,3 @@ def new_session(values: Sequence) -> tuple[ComparisonLedger, range]:
     """Create a session over ``values``; its ids are ``range(n)``, in input order."""
     ledger = ComparisonLedger(values)
     return ledger, ledger.ids()
-
-
-def audit_sorted(ledger: ComparisonLedger, ids: Iterable[int]) -> list[int]:
-    """Uncounted oracle sort by (payload, index)."""
-    return sorted(ids, key=ledger.sort_key)

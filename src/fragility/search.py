@@ -31,7 +31,7 @@ _BUDGET_CELLS = 1 << 18
 
 
 def make_view(ids: Sequence[int]) -> tuple[int, ...]:
-    """Ids in ascending payload order (verifiable only via audit comparisons)."""
+    """Ids in ascending payload order, as a tuple; the searches trust that order."""
     return tuple(ids)
 
 

@@ -251,9 +251,10 @@ def test_criterion_09_network_and_tournament_properties(sorts_every_zero_one_inp
         ledger, ids = new_session([int(v) for v in rng.permutation(m)])
         network_sort(ledger, ids)
         depth_ok = depth_ok and int(ledger.counts.max()) <= network_depth_bound(m)
-        ledger, ids = new_session([int(v) for v in rng.permutation(m)])
+        values = [int(v) for v in rng.permutation(m)]
+        ledger, ids = new_session(values)
         winner = tournament_min(ledger, ids)
-        tournament_ok = (tournament_ok and ledger.payload(winner) == 0
+        tournament_ok = (tournament_ok and values[winner] == 0
                          and int(ledger.counts[winner]) <= ceil_log2(m))
     ok = zero_one_ok and depth_ok and tournament_ok
     _criterion(9, "network 0-1 principle, depth, tournament", ok,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_sorted
 from fragility import generators
 from fragility.adaptive import (
     PHASE_SCAN,
@@ -20,7 +21,7 @@ from fragility.adaptive import (
 )
 from fragility.errors import EmptyInput
 from fragility.harness import _measured_disorder
-from fragility.ledger import audit_sorted, new_session
+from fragility.ledger import new_session
 from fragility.primitives import (
     ceil_log2,
     mom_select,
@@ -33,14 +34,10 @@ from fragility.selection import select_kth
 values_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=100)
 
 
-def _brute_inversions(ledger, ids):
-    keys = [ledger.sort_key(e) for e in ids]
-    return sum(
-        1
-        for i in range(len(keys))
-        for j in range(i + 1, len(keys))
-        if keys[j] < keys[i]
-    )
+def _brute_inversions(values):
+    """Pairs out of (payload, index) order: a later payload below an earlier one."""
+    n = len(values)
+    return sum(values[j] < values[i] for i in range(n) for j in range(i + 1, n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -52,8 +49,7 @@ def test_count_runs_scan_cost_and_partition(values):
     # the runs partition the input in order, each ascending in the canonical order
     assert [e for run in runs for e in run] == list(ids)
     for run in runs:
-        keys = [ledger.sort_key(e) for e in run]
-        assert keys == sorted(keys)
+        assert run == oracle_sorted(values, run)
 
 
 def test_count_runs_empty_rejected():
@@ -66,8 +62,7 @@ def test_count_runs_empty_rejected():
 @given(values=values_lists)
 def test_count_inversions_oracle_matches_brute_force(values):
     """The harness's inversion oracle counts pairs out of (payload, index) order."""
-    ledger, ids = new_session(values)
-    assert _measured_disorder(values)[1] == _brute_inversions(ledger, ids)
+    assert _measured_disorder(values)[1] == _brute_inversions(values)
 
 
 def _merge_count(seq):
@@ -132,7 +127,7 @@ def test_min_by_inv_info_reports_extraction_without_moving_counts():
 def test_min_by_runs_correct_with_log_runs_fragility(values):
     ledger, ids = new_session(values)
     res = min_by_runs(ledger, ids)
-    assert res == audit_sorted(ledger, ids)[0]
+    assert res == oracle_sorted(values)[0]
     runs = len(count_runs(*new_session(values)))
     assert int(ledger.counts.max()) <= 2 + ceil_log2(runs)
 
@@ -143,7 +138,7 @@ def test_min_by_runs_controlled(runs):
     values = generators.gen_controlled_runs(512, runs, rng)
     ledger, ids = new_session(values)
     res = min_by_runs(ledger, ids)
-    assert ledger.payload(res) == 0
+    assert values[res] == 0
     assert int(ledger.counts.max()) <= 2 + ceil_log2(runs)
 
 
@@ -153,8 +148,7 @@ def test_extract_sorted_run_structure(values):
     ledger, ids = new_session(values)
     R, I = extract_sorted_run(ledger, ids)
     inv = _measured_disorder(values)[1]
-    keys = [ledger.sort_key(e) for e in R]
-    assert keys == sorted(keys)
+    assert R == oracle_sorted(values, R)
     assert sorted(R + I) == list(range(len(ids)))
     assert len(I) <= 2 * inv
     assert int(ledger.counts.max()) <= 4
@@ -171,7 +165,7 @@ def test_extract_on_sorted_input_removes_nothing():
 def test_min_by_inv_correct_with_log_i_fragility(values):
     ledger, ids = new_session(values)
     res = min_by_inv(ledger, ids)
-    assert res == audit_sorted(ledger, ids)[0]
+    assert res == oracle_sorted(values)[0]
     _, I = extract_sorted_run(*new_session(values))
     assert int(ledger.counts.max()) <= 4 + ceil_log2(len(I) + 1) + 1
 
@@ -188,7 +182,7 @@ def test_median_two_runs_correct_and_constant(n, split, seed):
     values = generators.gen_two_runs(n, split, rng)
     ledger, ids = new_session(values)
     res = median_two_runs(ledger, ids[:split], ids[split:])
-    assert res == audit_sorted(ledger, ids)[(n - 1) // 2]
+    assert res == oracle_sorted(values)[(n - 1) // 2]
     assert int(ledger.counts.max()) <= 12
 
 
@@ -203,7 +197,7 @@ def test_median_two_runs_empty_rejected():
 def test_median_by_runs_matches_oracle_small(values):
     ledger, ids = new_session(values)
     res = median_by_runs(ledger, ids)
-    assert res == audit_sorted(ledger, ids)[(len(ids) - 1) // 2]
+    assert res == oracle_sorted(values)[(len(ids) - 1) // 2]
 
 
 @pytest.mark.parametrize("runs,n", [(1, 4096), (2, 4096), (8, 1 << 14)])
@@ -214,7 +208,7 @@ def test_median_by_runs_controlled_with_balanced_removals(runs, n):
     ledger, ids = new_session(values)
     log = []
     res = median_by_runs(ledger, ids, log=log)
-    ordered = audit_sorted(ledger, ids)
+    ordered = oracle_sorted(values)
     assert res == ordered[(n - 1) // 2]
     rank = {e: r for r, e in enumerate(ordered)}
     assert log
@@ -232,7 +226,7 @@ def test_median_by_inv_correct_on_controlled_inputs():
         values = generators.gen_controlled_inv(1024, inv, rng)
         ledger, ids = new_session(values)
         res = median_by_inv(ledger, ids)
-        assert res == audit_sorted(ledger, ids)[(len(ids) - 1) // 2]
+        assert res == oracle_sorted(values)[(len(ids) - 1) // 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,14 +234,14 @@ def test_median_by_inv_correct_on_controlled_inputs():
 def test_median_by_inv_matches_oracle(values):
     ledger, ids = new_session(values)
     res = median_by_inv(ledger, ids)
-    assert res == audit_sorted(ledger, ids)[(len(ids) - 1) // 2]
+    assert res == oracle_sorted(values)[(len(ids) - 1) // 2]
 
 
 @settings(max_examples=100, deadline=None)
 @given(values=values_lists)
 def test_sort_by_inv_matches_oracle(values):
     ledger, ids = new_session(values)
-    assert sort_by_inv(ledger, ids) == audit_sorted(ledger, ids)
+    assert sort_by_inv(ledger, ids) == oracle_sorted(values)
 
 
 def test_sort_by_inv_sorted_input_costs_only_the_scan():
@@ -260,7 +254,7 @@ def test_sort_by_inv_adversarial_single_misplaced_element():
     rng = np.random.default_rng(11)
     values = generators.gen_adversarial_run_plus_one(2048, rng)
     ledger, ids = new_session(values)
-    assert sort_by_inv(ledger, ids) == audit_sorted(ledger, ids)
+    assert sort_by_inv(ledger, ids) == oracle_sorted(values)
     # one misplaced element: everyone else pays at most a constant
     counts = sorted(int(c) for c in ledger.counts)
     assert counts[-2] <= 12
@@ -272,7 +266,7 @@ def test_sort_by_inv_controlled_fragility_grows_with_inv():
     for inv in (4, 64, 1024):
         values = generators.gen_controlled_inv(4096, inv, rng)
         ledger, ids = new_session(values)
-        assert sort_by_inv(ledger, ids) == audit_sorted(ledger, ids)
+        assert sort_by_inv(ledger, ids) == oracle_sorted(values)
         maxima.append(int(ledger.counts.max()))
     assert maxima == sorted(maxima)
 

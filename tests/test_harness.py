@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_controlled_inv_output_is_pinned():
     for inv in (0, 16, 4096, 1 << 20, n * (n - 1) // 2):
         for seed in range(3):
             vals = generators.gen_controlled_inv(n, inv, np.random.default_rng(seed))
-            digest.update(repr(vals).encode())
+            digest.update(repr(vals.tolist()).encode())
     assert digest.hexdigest() == "07deffec983685481d035e5ca42526f722d41a05f8303155ff524f9e808ca8d7"
 
 
@@ -162,7 +163,27 @@ def test_lower_bound_instance_inv_at_most_k(n, k, seed):
 
 
 def test_with_duplicates_halves_values():
-    assert generators.with_duplicates([0, 1, 2, 3]) == [0, 0, 1, 1]
+    assert generators.with_duplicates(np.arange(4)).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+@pytest.mark.parametrize("generator", sorted(SEQUENCE_GENERATORS))
+def test_every_sequence_generator_returns_the_trial_array(generator, duplicates, monkeypatch):
+    """The generator, and ``with_duplicates`` after it, each give a 1-D
+    integer array, and ``generate`` hands the last of them on as it is."""
+    made = []
+
+    def recorded(make):
+        return lambda *args: made.append(make(*args)) or made[-1]
+
+    monkeypatch.setitem(SEQUENCE_GENERATORS, generator, recorded(SEQUENCE_GENERATORS[generator]))
+    monkeypatch.setattr(generators, "with_duplicates", recorded(generators.with_duplicates))
+    spec = ExperimentSpec(algorithm="sort_by_inv", generator=generator, n=50, duplicates=duplicates)
+    vals = harness.generate(spec, np.random.default_rng(3))
+    assert len(made) == 1 + duplicates
+    for out in made:
+        assert isinstance(out, np.ndarray) and out.dtype.kind == "i" and out.shape == (spec.n,)
+    assert vals is made[-1]
 
 
 def test_generator_infeasible_targets():
@@ -371,8 +392,10 @@ def test_runner_raises_when_the_counts_miss_a_comparison(spec, monkeypatch):
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """The worker thread of each oracle executor that the test's runs start;
-    the runner imports the executor at call time, so the patch reaches it."""
+    """The thread that ran each oracle the test's runs submitted.  The test
+    starts without an oracle worker, so its first overlapped trial makes one
+    from the patched executor (the runner imports it at call time), and that
+    worker is shut down after the test."""
     started = []
 
     class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -384,7 +407,10 @@ def started_threads(monkeypatch):
             return super().submit(recorded, *args)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return started
+    monkeypatch.setattr(harness, "_oracle_pool", None)
+    yield started
+    if harness._oracle_pool is not None:
+        harness._oracle_pool.shutdown()
 
 
 def _on_glibc() -> bool:
@@ -465,6 +491,7 @@ def test_overlapped_oracle_rows_equal_inline_rows(started_threads, monkeypatch):
                           trials=2, seed=4)
     overlapped = run_experiment(spec).to_json()
     assert len(started_threads) == spec.trials
+    assert started_threads[0] is started_threads[1]  # the process's one oracle worker
     monkeypatch.setattr(harness, "OVERLAP_MIN_N", spec.n + 1)
     assert run_experiment(spec).to_json() == overlapped
     assert len(started_threads) == spec.trials  # the second run kept the oracle inline
@@ -483,21 +510,34 @@ def test_the_oracle_overlaps_only_array_native_algorithms(spec, started_threads)
 
 
 def test_a_raising_large_trial_leaves_no_thread(tmp_path, capsys, monkeypatch, started_threads):
+    """A trial whose algorithm raises waits for its oracle, raises the
+    algorithm's error, not the oracle's, and leaves no thread beside the
+    process's one oracle worker."""
+    finished = []
+
     def fail(*args, **kwargs):
         raise ConfigError("select_kth failed")
 
+    def slow_failing_oracle(arr):
+        time.sleep(0.2)
+        finished.append(arr.size)
+        raise ZeroDivisionError("oracle")
+
     monkeypatch.setattr(harness, "select_kth", fail)
+    monkeypatch.setattr(harness, "_oracle", slow_failing_oracle)
     threads = threading.active_count()
     n = harness.OVERLAP_MIN_N
     spec = ExperimentSpec(algorithm="select_kth", n=n, trials=1)
     with pytest.raises(ConfigError, match="select_kth failed"):
         run_experiment(spec)
-    assert threading.active_count() == threads
+    assert finished == [n]  # no oracle work is left pending
+    assert threading.active_count() == threads + 1
     assert cli.main(["run", "--algo", "select_kth", "--n", str(n), "--trials", "1",
                      "--out", str(tmp_path / "report.json")]) == 2
     assert "select_kth failed" in capsys.readouterr().err
-    assert threading.active_count() == threads
-    assert len(started_threads) == 2  # each run overlapped its oracle
+    assert finished == [n, n]
+    assert threading.active_count() == threads + 1
+    assert len(started_threads) == 2 and started_threads[0] is started_threads[1]
 
 
 def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch, started_threads):
@@ -507,11 +547,13 @@ def test_an_oracle_error_is_raised_on_the_calling_thread(monkeypatch, started_th
     monkeypatch.setattr(harness, "_oracle", fail)
     monkeypatch.setattr(harness, "OVERLAP_MIN_N", 64)
     spec = ExperimentSpec(algorithm="select_kth", n=64, trials=1)
-    with pytest.raises(ZeroDivisionError, match="oracle"):
-        run_experiment(spec)
-    assert len(started_threads) == 1  # the oracle raised on its worker thread
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="oracle"):
+            run_experiment(spec)
+    # the oracle raised twice on the process's one worker, which lives on
+    assert len(started_threads) == 2 and started_threads[0] is started_threads[1]
     assert started_threads[0] is not threading.current_thread()
-    assert not started_threads[0].is_alive()
+    assert started_threads[0].is_alive()
 
 
 def _pinned_specs():
@@ -674,13 +716,14 @@ def test_algorithm_registry_is_covered_by_smoke_specs():
 
 @pytest.mark.parametrize("spec", [pytest.param(s, id=s.algorithm) for s in SMOKE_SPECS])
 def test_the_harness_never_uses_audit_mode(spec, monkeypatch):
-    """Every verdict comes from the numpy oracle over the payload array."""
-    def audit(*args):
-        raise AssertionError("the harness read the ledger in audit mode")
-
-    for name in ("sort_key", "payload", "audit_compare"):
-        monkeypatch.setattr(ComparisonLedger, name, audit)
+    """Every verdict comes from the numpy oracle over the payload array: the
+    ledger has no uncounted read, and each ordering trial calls the oracle."""
+    assert not any(hasattr(ComparisonLedger, name) for name in ("sort_key", "payload", "audit_compare"))
+    arrays = []
+    oracle = harness._oracle
+    monkeypatch.setattr(harness, "_oracle", lambda arr: arrays.append(arr) or oracle(arr))
     assert run_experiment(spec).aggregates["correct_fraction"] == 1.0
+    assert len(arrays) == (0 if spec.algorithm in SEARCHES else spec.trials)
 
 
 @pytest.mark.parametrize("corrupt", [lambda R, I: ([R[1], R[0], *R[2:]], I),

@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_sorted
 from fragility.adaptive import count_runs
 from fragility.errors import EmptyInput, SelfComparison, UnknownElement
-from fragility.ledger import (
-    ComparisonLedger,
-    audit_sorted,
-    new_session,
-)
+from fragility.ledger import ComparisonLedger, new_session
 from fragility.primitives import build_schedule, network_sort
 
 
@@ -56,8 +53,6 @@ def test_unknown_element_rejected():
     ledger, ids = new_session([1, 2])
     with pytest.raises(UnknownElement):
         ledger.compare(ids[0], 99)
-    with pytest.raises(UnknownElement):
-        ledger.payload(99)
 
 
 def test_sessions_share_ids_without_sharing_lists():
@@ -71,8 +66,6 @@ def test_sessions_share_ids_without_sharing_lists():
     assert list(ids) == [0, 1]
     with pytest.raises(UnknownElement):
         ledger.compare(ids[0], 99)
-    with pytest.raises(UnknownElement):
-        ledger.payload(99)
 
 
 def test_shared_ids_grow_safely_across_threads():
@@ -116,37 +109,16 @@ def test_less_breaks_ties_by_index_without_extra_cost():
     assert ledger.total == before + 2  # one counted comparison per call
 
 
-def test_audit_mode_never_mutates_counts():
-    ledger, (a, b) = new_session([3, 5])
-    for _ in range(1000):
-        assert ledger.audit_compare(a, b) == -1
-    assert ledger.total == 0
-    assert ledger.counts.max() == 0
-
-
-def test_audit_matches_counted_ordering():
-    ledger, ids = new_session([4, 1, 4, 9])
-    for i in range(len(ids)):
-        for j in range(len(ids)):
-            if i == j:
-                continue
-            assert ledger.audit_compare(ids[i], ids[j]) == ledger.compare(ids[i], ids[j])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.integers(-50, 50), min_size=2, max_size=20),
-    ops=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19), st.booleans()), max_size=80),
+    ops=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=80),
 )
 def test_sum_counts_is_twice_total(values, ops):
     ledger, ids = new_session(values)
-    for i, j, audit in ops:
+    for i, j in ops:
         a, b = ids[i % len(ids)], ids[j % len(ids)]
-        if a == b:
-            continue
-        if audit:
-            ledger.audit_compare(a, b)
-        else:
+        if a != b:
             ledger.compare(a, b)
     assert int(ledger.counts.sum()) == 2 * ledger.total
 
@@ -191,13 +163,6 @@ def test_phase_counts_are_segregated():
     assert list(ledger.phase_counts("alpha")) == [2, 1, 1]
     assert list(ledger.phase_counts("beta")) == [0, 1, 1]
     assert list(ledger.counts) == [2, 2, 2]
-
-
-def test_audit_sorted_is_payload_then_index():
-    ledger, ids = new_session([4, 1, 4, 0])
-    order = audit_sorted(ledger, ids)
-    assert order == [3, 1, 0, 2]
-    assert ledger.total == 0
 
 
 def test_non_numeric_payloads_fall_back():
@@ -322,16 +287,14 @@ def test_scalar_compare_on_an_array_session_matches_batch_and_list(values):
         assert isinstance(from_array._values, memoryview)
     if not values.dtype.isnative:
         assert isinstance(from_array._values, list)
-    for i in range(n):
-        got, want = from_array.payload(i), from_list.payload(i)
+    for got, want in zip(from_array._values, from_list._values):
         assert type(got) is type(want) and (got == want or got != got and want != want)
     # a memoryview session (native dtypes but float16), a fallback list
     # session (the rest) and a list session all answer with plain int signs
     scalar = [from_array.compare(i, j) for i, j in pairs]
     listed = [from_list.compare(i, j) for i, j in pairs]
-    audited = [from_array.audit_compare(i, j) for i, j in pairs]
-    assert all(type(sign) is int for sign in scalar + listed + audited)
-    assert scalar == listed == audited
+    assert all(type(sign) is int for sign in scalar + listed)
+    assert scalar == listed
     a = np.array([i for i, _ in pairs], dtype=np.intp)
     b = np.array([j for _, j in pairs], dtype=np.intp)
     assert batch.compare_batch(a, b).tolist() == scalar
@@ -447,7 +410,7 @@ def test_tuple_payloads_batch_as_compare_does(make):
     rng = np.random.default_rng(40)
     wide = [tuple(row) for row in rng.integers(0, 3, size=(40, 2)).tolist()]
     ledger, ids = new_session(make(wide))
-    assert network_sort(ledger, ids) == audit_sorted(ledger, ids)
+    assert network_sort(ledger, ids) == oracle_sorted(make(wide))
     assert int(ledger.counts.sum()) == 2 * ledger.total
 
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_sorted
 from fragility import generators
 from fragility.errors import EmptyInput, RankOutOfRange
-from fragility.ledger import audit_sorted, new_session
+from fragility.ledger import new_session
 from fragility.primitives import (
     build_schedule,
     ceil_log2,
@@ -27,11 +28,11 @@ from fragility.primitives import (
 values_lists = st.lists(st.integers(-100, 100), min_size=1, max_size=64)
 
 
-def assert_ascending(ledger, ids):
-    """Audit-only merge-precondition check used by the merge tests."""
-    for prev, cur in zip(ids, ids[1:]):
-        if not ledger.sort_key(prev) < ledger.sort_key(cur):
-            raise AssertionError(f"{prev} !< {cur}")
+def assert_ascending(values, ids):
+    """The merge tests' precondition: ``ids`` ascend in the canonical order
+    of ``values``, as the payloads alone give it."""
+    if list(ids) != oracle_sorted(values, ids):
+        raise AssertionError(f"{list(ids)} do not ascend")
 
 
 def test_ceil_log2_trivials():
@@ -134,7 +135,7 @@ def test_zero_one_check_rejects_the_network_less_any_comparator(sorts_every_zero
 def test_network_sort_matches_oracle(values):
     ledger, ids = new_session(values)
     out = network_sort(ledger, ids)
-    assert out == audit_sorted(ledger, ids)
+    assert out == oracle_sorted(values)
 
 
 @pytest.mark.parametrize("m", [4, 64, 1024])
@@ -166,7 +167,7 @@ def test_network_sort_scalar_path_matches_batch_path(m, monkeypatch):
             runs.append((out, list(ledger.counts), ledger.total,
                          list(ledger.phase_counts("sort"))))
         assert runs[0] == runs[1], (m, trial)
-        assert runs[0][0] == audit_sorted(ledger, ids)
+        assert runs[0][0] == oracle_sorted(values)
 
 
 def _scalar_network(ledger, ids):
@@ -221,7 +222,7 @@ def test_sort_network_replays_the_scalar_network(kind, values, data, phase):
                      ledger.phase_counts("sort").tolist()))
     assert runs[0] == runs[1]
     if kind != "nan":
-        assert runs[0][0] == audit_sorted(ledger, ids)
+        assert runs[0][0] == oracle_sorted(_NETWORK_SESSIONS[kind](values), ids)
 
 
 def test_network_sort_counts_digest_is_pinned():
@@ -233,7 +234,7 @@ def test_network_sort_counts_digest_is_pinned():
     for m in (17, 100, 1000, 4097):
         for dup in (False, True):
             values = generators.gen_random(m, np.random.default_rng(m))
-            values = generators.with_duplicates(values) if dup else values.tolist()
+            values = (generators.with_duplicates(values) if dup else values).tolist()
             order = np.random.default_rng(m + 1).permutation(m).tolist()
             for make in (list, np.array):
                 ledger, ids = new_session(make(values))
@@ -257,7 +258,7 @@ def test_network_sort_is_stable_on_duplicates():
 def test_tournament_min_correct_and_logarithmic(values):
     ledger, ids = new_session(values)
     winner = tournament_min(ledger, ids)
-    assert winner == audit_sorted(ledger, ids)[0]
+    assert winner == oracle_sorted(values)[0]
     assert int(ledger.counts.max()) <= ceil_log2(len(ids))
 
 
@@ -276,27 +277,27 @@ def test_exponential_merge_matches_oracle(values, mask):
     if not values:
         return
     ledger, ids = new_session(values)
-    ordered = audit_sorted(ledger, ids)
+    ordered = oracle_sorted(values)
     a = [e for e, keep in zip(ordered, mask) if keep]
     b = [e for e, keep in zip(ordered, mask) if not keep]
-    assert_ascending(ledger, a)
-    assert_ascending(ledger, b)
+    assert_ascending(values, a)
+    assert_ascending(values, b)
     assert exponential_merge(ledger, a, b) == ordered
 
 
 def test_merge_precondition_audit_detects_descent():
-    ledger, ids = new_session([3, 1, 2])
     with pytest.raises(AssertionError):
-        assert_ascending(ledger, ids)
+        assert_ascending([3, 1, 2], range(3))
 
 
 def test_merge_single_element_costs_logarithmically():
     """Inserting one element into a long run costs O(log displacement) total."""
     n = 1000
-    ledger, ids = new_session(list(range(0, 2 * n, 2)) + [n + 1])
+    values = list(range(0, 2 * n, 2)) + [n + 1]
+    ledger, ids = new_session(values)
     run, single = ids[:n], [ids[n]]
     merged = exponential_merge(ledger, run, single)
-    assert merged == audit_sorted(ledger, ids)
+    assert merged == oracle_sorted(values)
     assert ledger.total <= 2 * ceil_log2(n) + 4
 
 
@@ -312,7 +313,7 @@ def test_merge_empty_sides():
 def test_mom_select_matches_oracle(values, data):
     k = data.draw(st.integers(0, len(values) - 1))
     ledger, ids = new_session(values)
-    assert mom_select(ledger, ids, k) == audit_sorted(ledger, ids)[k]
+    assert mom_select(ledger, ids, k) == oracle_sorted(values)[k]
 
 
 # k -> (answer, total, sha256 of json.dumps(counts.tolist())), measured on the
@@ -329,7 +330,7 @@ MOM_SELECT_PINS = {
 @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
 def test_mom_select_counts_are_pinned_with_duplicates(k, make):
     """n = 1000 payloads in tied pairs: every element's count is pinned."""
-    values = generators.with_duplicates(generators.gen_random(1000, np.random.default_rng(16)))
+    values = generators.with_duplicates(generators.gen_random(1000, np.random.default_rng(16))).tolist()
     ledger, ids = new_session(make(values))
     res = mom_select(ledger, ids, k)
     digest = hashlib.sha256(json.dumps(ledger.counts.tolist()).encode()).hexdigest()
@@ -349,7 +350,7 @@ def test_mom_select_rank_out_of_range():
 def test_small_median_is_lower_median(values):
     ledger, ids = new_session(values)
     res = small_median(ledger, ids)
-    assert res == audit_sorted(ledger, ids)[(len(ids) - 1) // 2]
+    assert res == oracle_sorted(values)[(len(ids) - 1) // 2]
     assert int(ledger.counts.max()) <= network_depth_bound(len(ids))
 
 
